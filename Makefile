@@ -1,8 +1,9 @@
 # Tier-1 verification for the serving code (resbook, server,
 # reschedd): formatting, vet, the reschedvet domain analyzers, the
 # full suite under the race detector, a one-iteration benchmark smoke
-# run so benchmarks cannot bit-rot, and a short fuzz smoke of the
-# profile/parser invariants. `make test` is the quick non-race cycle;
+# run so benchmarks cannot bit-rot, a short fuzz smoke of the
+# profile/parser invariants, and the vet and tests of the nested
+# bench/ module. `make test` is the quick non-race cycle;
 # `make bench` produces the machine-readable perf trajectory
 # ($(BENCH_OUT)).
 
@@ -15,23 +16,23 @@ BENCH_PKGS ?= ./internal/cpa ./internal/profile ./internal/server ./internal/res
 # default; override either variable to target another file, e.g.
 #   make bench BENCH_PR=PR4
 #   make bench BENCH_OUT=/tmp/scratch.json
-BENCH_PR ?= PR10
+BENCH_PR ?= PR17
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 BENCH_LABEL ?= optimized
 
 # bench-compare gates the serving hot path against this committed
-# baseline: the named benchmark prefixes may not regress ns/op by more
-# than BENCH_THRESHOLD percent.
-BENCH_BASE ?= BENCH_PR9.json
+# baseline: the named benchmark prefixes may regress neither ns/op nor
+# allocs/op by more than BENCH_THRESHOLD percent.
+BENCH_BASE ?= BENCH_PR10.json
 BENCH_THRESHOLD ?= 15
-BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput
+BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
 
 # How long each fuzz target runs in fuzz-smoke.
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt vet lint test race race-all build bench bench-compare bench-smoke fuzz-smoke replay-smoke vuln
+.PHONY: ci fmt vet lint test race race-all build bench bench-compare bench-smoke bench-module fuzz-smoke replay-smoke vuln
 
-ci: fmt vet lint race replay-smoke bench-smoke fuzz-smoke vuln
+ci: fmt vet lint race replay-smoke bench-smoke bench-module fuzz-smoke vuln
 
 build:
 	$(GO) build ./...
@@ -62,10 +63,11 @@ test:
 # — under the race detector on every ci run, plus the analyzer suite
 # (its fixture harness runs real type-checking and the analyzers
 # themselves guard the locking discipline, so they get the same
-# scrutiny). race-all is the full-tree sweep for slower, occasional
-# use.
+# scrutiny) — and the profile package, whose persistent handles have
+# one word, the edit token, that Clone writes under a shard's read
+# lock. race-all is the full-tree sweep for slower, occasional use.
 race:
-	$(GO) test -race ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/coalesce/... ./internal/analysis/...
+	$(GO) test -race ./internal/profile/... ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/coalesce/... ./internal/analysis/...
 
 # replay-smoke drives a short canned trace through the online
 # lifecycle engine under the race detector: a capacity-constrained
@@ -88,8 +90,10 @@ bench:
 # bench-compare re-runs the trajectory benchmarks into a scratch file
 # and diffs them against the committed $(BENCH_BASE): per-benchmark
 # ns/op and allocs/op deltas are printed, and a gated benchmark
-# regressing ns/op beyond $(BENCH_THRESHOLD)% fails the target (see
-# cmd/benchjson). Five repetitions are run and benchjson keeps the
+# regressing either beyond $(BENCH_THRESHOLD)% fails the target, which
+# names the count that tripped (see cmd/benchjson; allocation counts
+# are exact and get no spread slack, only a two-allocation floor).
+# Five repetitions are run and benchjson keeps the
 # fastest — the minimum is the noise-robust estimator, without which a
 # 15% gate flakes on a busy or single-core machine (interleaved A/B
 # runs of identical binaries on a 1-vCPU VM show ±10% swings that
@@ -106,6 +110,13 @@ bench-compare:
 # recorded.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench-module vets and tests bench/, the repository's benchmark
+# (BENCHMARK.json). It is a Go module of its own, so no ./... pattern
+# above reaches it; bench/run.sh runs the same two commands before
+# every benchmark run, and this puts them in ci as well.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # fuzz-smoke gives each native fuzz target a short budget so CI keeps
 # the harnesses compiling and shakes the invariants on fresh inputs.

@@ -11,18 +11,21 @@
 // every benchmark present in both files (and lists the ones only in
 // one of them), then exits non-zero if any gated benchmark — one
 // whose name starts with a -gate prefix; all common benchmarks when
-// -gate is empty — regressed ns/op by more than -threshold percent
-// plus the benchmark's own repetition spread (see Result.NsSpreadPct;
-// the slack is capped at twice the threshold). On a 1-vCPU shared
-// machine, sub-microsecond benchmarks jitter well past a fixed
-// percentage gate between identical binaries; requiring a regression
-// to clear the same run's observed noise keeps the gate meaningful
-// without loosening it for stable benchmarks. Deltas tolerated only
-// by that slack are marked "~" in the table.
-// allocs/op deltas are reported but never gate: measured allocations
-// are exact, so the print is the review signal, while wall-clock
-// gating keeps the hot path honest without failing on alloc-count
-// changes a PR argues for explicitly.
+// -gate is empty — regressed on either of two counts, and says which.
+// ns/op: by more than -threshold percent plus the benchmark's own
+// repetition spread (see Result.NsSpreadPct; the slack is capped at
+// twice the threshold). On a 1-vCPU shared machine, sub-microsecond
+// benchmarks jitter well past a fixed percentage gate between
+// identical binaries; requiring a regression to clear the same run's
+// observed noise keeps the gate meaningful without loosening it for
+// stable benchmarks. Deltas tolerated only by that slack are marked
+// "~" in the table. allocs/op: by more than -threshold percent, with
+// no slack — measured allocations are exact — but never for a rise of
+// fewer than two allocations, which is 100 % of a one-allocation
+// benchmark and says nothing. (PR 10 took SchedulePost from 143 to
+// 1,619 allocs/op under a gate that only printed the delta.) Both
+// files must come from -benchmem runs: a missing allocs/op reads as
+// zero.
 //
 // Each invocation parses the benchmark lines on stdin and stores them
 // under the given label in the output file, merging with any labels
@@ -242,7 +245,7 @@ func pctDelta(old, new float64) float64 {
 func runCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	label := fs.String("label", "optimized", "run label to compare in both files")
-	threshold := fs.Float64("threshold", 15, "max tolerated ns/op regression on gated benchmarks, in percent")
+	threshold := fs.Float64("threshold", 15, "max tolerated ns/op or allocs/op regression on gated benchmarks, in percent")
 	gate := fs.String("gate", "", "comma-separated benchmark-name prefixes to gate; empty gates every common benchmark")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -310,17 +313,27 @@ func runCompare(args []string) error {
 		if slack > 2**threshold {
 			slack = 2 * *threshold
 		}
-		mark := " "
-		if gated(name) && dNs > *threshold {
+		mark, tripped := " ", ""
+		if gated(name) {
 			if dNs > *threshold+slack {
-				mark = "!"
-				failed = append(failed, name)
-			} else {
+				tripped = "ns/op"
+			} else if dNs > *threshold {
 				mark = "~"
 			}
+			if rise := n.AllocsOp - o.AllocsOp; rise >= 2 && rise > o.AllocsOp**threshold/100 {
+				if tripped != "" {
+					tripped += ", "
+				}
+				tripped += "allocs/op"
+			}
 		}
-		fmt.Printf("%s %-62s ns/op %12.1f -> %12.1f (%+6.1f%% ±%4.1f%%)  allocs/op %7.0f -> %7.0f (%+6.1f%%)\n",
-			mark, name, o.NsOp, n.NsOp, dNs, n.NsSpreadPct, o.AllocsOp, n.AllocsOp, dAlloc)
+		if tripped != "" {
+			mark = "!"
+			tripped = " (" + tripped + ")"
+			failed = append(failed, name+tripped)
+		}
+		fmt.Printf("%s %-62s ns/op %12.1f -> %12.1f (%+6.1f%% ±%4.1f%%)  allocs/op %7.0f -> %7.0f (%+6.1f%%)%s\n",
+			mark, name, o.NsOp, n.NsOp, dNs, n.NsSpreadPct, o.AllocsOp, n.AllocsOp, dAlloc, tripped)
 	}
 	for _, name := range added {
 		fmt.Printf("+ %-62s new benchmark, no baseline\n", name)
@@ -329,10 +342,10 @@ func runCompare(args []string) error {
 		fmt.Printf("- %-62s removed, was %12.1f ns/op\n", name, oldRun[name].NsOp)
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("%d gated benchmark(s) regressed ns/op by more than %.0f%%: %s",
-			len(failed), *threshold, strings.Join(failed, ", "))
+		return fmt.Errorf("%d gated benchmark(s) regressed by more than %.0f%%: %s",
+			len(failed), *threshold, strings.Join(failed, "; "))
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: compared %d benchmarks, no gated ns/op regression beyond %.0f%%\n",
+	fmt.Fprintf(os.Stderr, "benchjson: compared %d benchmarks, no gated ns/op or allocs/op regression beyond %.0f%%\n",
 		len(common), *threshold)
 	return nil
 }

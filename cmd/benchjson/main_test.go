@@ -144,3 +144,82 @@ func TestCompareGateSlack(t *testing.T) {
 		})
 	}
 }
+
+// TestCompareGatesAllocations: the gate sees allocs/op. The PR 9 ->
+// PR 10 SchedulePost jump, which passed a gate that only printed it,
+// now fails and is named as an allocation failure (its ns/op held);
+// one allocation becoming two is +100 % and passes; an ungated
+// benchmark may allocate what it likes.
+func TestCompareGatesAllocations(t *testing.T) {
+	dir := t.TempDir()
+	old := writeBenchFile(t, dir, "old.json", map[string]Result{
+		"internal/server.BenchmarkSchedulePost": {Iterations: 1, NsOp: 702_000, AllocsOp: 143},
+		"a.BenchmarkTiny":                       {Iterations: 1, NsOp: 100, AllocsOp: 1},
+		"a.BenchmarkFree":                       {Iterations: 1, NsOp: 100},
+		"b.BenchmarkUngated":                    {Iterations: 1, NsOp: 100, AllocsOp: 10},
+	})
+	cases := []struct {
+		name     string
+		newRes   map[string]Result
+		wantFail string // the whole error must carry this, empty for pass
+		notIn    string // and must not carry this
+	}{
+		{
+			name: "PR 9 to PR 10 fails on allocations alone",
+			newRes: map[string]Result{
+				"internal/server.BenchmarkSchedulePost": {Iterations: 1, NsOp: 716_000, AllocsOp: 1619},
+				"a.BenchmarkTiny":                       {Iterations: 1, NsOp: 100, AllocsOp: 1},
+			},
+			wantFail: "internal/server.BenchmarkSchedulePost (allocs/op)",
+			notIn:    "ns/op",
+		},
+		{
+			name: "one allocation to two passes, as does an ungated rise",
+			newRes: map[string]Result{
+				"internal/server.BenchmarkSchedulePost": {Iterations: 1, NsOp: 702_000, AllocsOp: 160},
+				"a.BenchmarkTiny":                       {Iterations: 1, NsOp: 100, AllocsOp: 2},
+				"b.BenchmarkUngated":                    {Iterations: 1, NsOp: 100, AllocsOp: 500},
+			},
+		},
+		{
+			name: "repetition spread excuses ns/op but buys allocations no slack",
+			newRes: map[string]Result{
+				"internal/server.BenchmarkSchedulePost": {Iterations: 1, NsOp: 850_000, AllocsOp: 170, NsSpreadPct: 20},
+			},
+			wantFail: "internal/server.BenchmarkSchedulePost (allocs/op)",
+			notIn:    "ns/op",
+		},
+		{
+			name: "both counts are named when both trip",
+			newRes: map[string]Result{
+				"internal/server.BenchmarkSchedulePost": {Iterations: 1, NsOp: 1_400_000, AllocsOp: 170},
+			},
+			wantFail: "internal/server.BenchmarkSchedulePost (ns/op, allocs/op)",
+		},
+		{
+			name: "a zero-allocation benchmark that starts allocating fails",
+			newRes: map[string]Result{
+				"a.BenchmarkFree": {Iterations: 1, NsOp: 100, AllocsOp: 2},
+			},
+			wantFail: "a.BenchmarkFree (allocs/op)",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			newPath := writeBenchFile(t, dir, "new.json", tc.newRes)
+			err := runCompare([]string{"-threshold", "15", "-gate", "internal/server.,a.", old, newPath})
+			if tc.wantFail == "" {
+				if err != nil {
+					t.Fatalf("want pass, got %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantFail) {
+				t.Fatalf("want failure mentioning %q, got %v", tc.wantFail, err)
+			}
+			if tc.notIn != "" && strings.Contains(err.Error(), tc.notIn) {
+				t.Fatalf("failure %q should not mention %q", err, tc.notIn)
+			}
+		})
+	}
+}

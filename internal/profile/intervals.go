@@ -1,23 +1,30 @@
 package profile
 
 // This file defines the Intervals interface: the query/mutation
-// surface shared by the two availability-profile backends. The flat
+// surface shared by the three availability-profile backends. The flat
 // Profile (profile.go) stores the step function as parallel arrays
 // and answers queries with linear scans — simple, cache-friendly, and
 // the differential-test oracle. TreeProfile (segtree.go) indexes the
-// same step function with a balanced tree and answers the same
-// queries in O(log n) per probe. Auto and NewAuto pick the backend by
-// segment count so callers (internal/cpa, internal/core,
-// internal/server) never hard-code the choice.
+// same step function with a balanced tree in a mutable arena and
+// answers the same queries in O(log n) per probe; it copies in O(n).
+// PersistentProfile (persistent.go) is the same tree on heap nodes,
+// copy-on-write: Clone is O(1), which is why the reservation book's
+// shards and every snapshot of a large book are persistent handles.
+// Auto and NewAuto pick between the first two by segment count so
+// callers (internal/cpa, internal/core, internal/server) never
+// hard-code the choice; CopyIntervals keeps whichever backend it is
+// handed.
 
 import "resched/internal/model"
 
 // Intervals is the availability-profile abstraction: a step function
 // of free processors over [origin, +inf) supporting feasibility
-// probes and reservation mutations. Both *Profile and *TreeProfile
-// implement it with bit-identical results (enforced by the
-// differential tests and FuzzTreeProfileVsFlat); scheduling code
-// written against Intervals runs unchanged on either backend.
+// probes and reservation mutations. *Profile, *TreeProfile and
+// *PersistentProfile implement it with bit-identical results — same
+// answers, same error strings, same panics — enforced by the
+// differential tests, FuzzTreeProfileVsFlat and FuzzPersistentVsFlat;
+// scheduling code written against Intervals runs unchanged on any of
+// them.
 type Intervals interface {
 	Capacity() int
 	Origin() model.Time
@@ -54,7 +61,7 @@ type Intervals interface {
 	CloneIntervals() Intervals
 }
 
-// Compile-time checks that both backends satisfy the interface.
+// Compile-time checks that every backend satisfies the interface.
 var (
 	_ Intervals = (*Profile)(nil)
 	_ Intervals = (*TreeProfile)(nil)
@@ -117,8 +124,8 @@ func CopyIntervals(src Intervals, scratch Intervals) Intervals {
 		s.CloneInto(dst)
 		return dst
 	case *PersistentProfile:
-		// Persistent handles copy in O(1) by sharing the immutable
-		// root; scratch reuse buys nothing.
+		// Persistent handles copy in O(1) by sharing the root, which
+		// the Clone freezes; scratch reuse buys nothing.
 		return s.Clone()
 	default:
 		return src.CloneIntervals()

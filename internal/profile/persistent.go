@@ -2,11 +2,13 @@ package profile
 
 // PersistentProfile is the copy-on-write availability-profile backend:
 // the same treap-indexed step function as TreeProfile, but with
-// immutable heap-allocated nodes and path-copying mutations instead of
-// an in-place arena. Every Reserve/Unreserve clones only the O(log n)
-// nodes on its descent path (plus the O(log n) off-path children a
-// lazy-tag pushdown touches) and publishes a fresh root; every node
-// reachable from a previously published root is never written again.
+// heap-allocated nodes and path-copying mutations instead of an
+// in-place arena. Every Reserve/Unreserve copies only those of the
+// O(log n) nodes on its descent path (plus the O(log n) off-path
+// children a lazy-tag pushdown touches) that the handle's current edit
+// does not already own — nodes the edit created it writes in place —
+// and publishes the new root; Clone ends the edit, so every node
+// reachable from another handle is never written again.
 //
 // That makes Clone an O(1) struct copy sharing the root pointer, which
 // is what the sharded reservation book needs: taking a global snapshot
@@ -34,27 +36,39 @@ package profile
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"resched/internal/model"
 )
 
-// pnode is one immutable treap node: the segment starting at key holds
-// val free processors until the next breakpoint. mn/mx aggregate val
-// over the node's subtree; add is the pending lazy increment for both
-// child subtrees (the node's own val/mn/mx are always current).
+// pnode is one treap node: the segment starting at key holds val free
+// processors until the next breakpoint. mn/mx aggregate val over the
+// node's subtree; add is the pending lazy increment for both child
+// subtrees (the node's own val/mn/mx are always current). The counts
+// are int32 (constructors bound the capacity) so that owner fits and
+// the node stays in the 64-byte size class — one cache line per step
+// of a descent.
 //
-// COW invariant: a pnode reachable from any published root is never
-// written. Mutations clone the node (pclone/papplied) and write only
-// the clone; reschedvet's snapshotmut fixtures pin the discipline.
+// COW invariant: owner is the token of the edit that created the node
+// (0: born sealed), and only a handle whose current edit is owner may
+// write it; every other mutation writes a stamped copy (own/applied).
+// Tokens are never reissued and Clone retires the receiver's, so a
+// pnode reachable from a second handle is never written again.
 type pnode struct {
-	l, r *pnode
-	prio uint64
-	key  model.Time
-	val  int
-	mn   int
-	mx   int
-	add  int
+	l, r  *pnode
+	prio  uint64
+	owner uint64
+	key   model.Time
+	val   int32
+	mn    int32
+	mx    int32
+	add   int32
 }
+
+// editTokens issues edit tokens: 64 bits, never 0, never reused — a
+// wrapped token would let a later edit write nodes a live snapshot
+// still holds.
+var editTokens atomic.Uint64
 
 // PersistentProfile is a step function of free processors over
 // [origin, horizon) answering queries in O(log n) with O(1) snapshots.
@@ -73,6 +87,10 @@ type PersistentProfile struct {
 	root    *pnode
 	n       int // live segment count
 	seed    uint64
+	// edit is the token of the handle's open edit, 0 when sealed. It is
+	// atomic because Clone retires it, and the book clones a shard's
+	// handle under RLock, possibly from several goroutines at once.
+	edit atomic.Uint64
 }
 
 // NewPersistent returns an empty persistent profile: capacity
@@ -90,6 +108,7 @@ func NewPersistentWindow(capacity int, origin, horizon model.Time, seedBase uint
 	if capacity < 1 {
 		panic(fmt.Sprintf("profile: capacity %d < 1", capacity))
 	}
+	checkNodeCapacity(capacity)
 	if horizon <= origin {
 		panic(fmt.Sprintf("profile: window [%d,%d) is empty", origin, horizon))
 	}
@@ -102,15 +121,25 @@ func NewPersistentWindow(capacity int, origin, horizon model.Time, seedBase uint
 // NewPersistentFromProfile returns a persistent copy of the flat
 // profile p, built in O(n). p is not retained.
 func NewPersistentFromProfile(p *Profile) *PersistentProfile {
+	checkNodeCapacity(p.capacity)
 	t := &PersistentProfile{capacity: p.capacity, origin: p.times[0], horizon: model.Infinity}
 	t.buildSorted(p.times, p.free)
 	return t
 }
 
+// checkNodeCapacity panics on a capacity pnode's int32 counts (and the
+// freeCeil range-min identity) cannot hold.
+func checkNodeCapacity(capacity int) {
+	if capacity >= freeCeil {
+		panic(fmt.Sprintf("profile: capacity %d >= %d", capacity, freeCeil))
+	}
+}
+
 // buildSorted builds a proper random treap from the sorted step
 // function in O(n): push each new rightmost node onto the right spine,
 // rotating by priority, then recompute aggregates bottom-up. All nodes
-// are fresh here, so in-place writes are safe.
+// are fresh and unpublished here, so in-place writes are safe; t is
+// sealed, so they are born sealed.
 func (t *PersistentProfile) buildSorted(times []model.Time, free []int) {
 	spine := make([]*pnode, 0, 48)
 	for i := range times {
@@ -143,12 +172,31 @@ func pullAllFresh(n *pnode) {
 	ppull(n)
 }
 
-// Clone returns an independent handle in O(1): the root is shared and
-// immutable, so both copies mutate by path-copying without observing
-// each other.
+// Clone returns an independent handle in O(1). The root is shared, so
+// the receiver's edit ends here — the one word Clone writes — and the
+// clone starts sealed: whichever side mutates next draws a fresh token
+// and path-copies what the other can still reach.
 func (t *PersistentProfile) Clone() *PersistentProfile {
-	c := *t
-	return &c
+	t.seal()
+	return &PersistentProfile{capacity: t.capacity, origin: t.origin, horizon: t.horizon, root: t.root, n: t.n, seed: t.seed}
+}
+
+// seal retires the handle's edit token: the nodes it stamped become
+// immutable. Concurrent sealers (snapshots under one shard's RLock)
+// store the same 0; the test skips the store, and the cache-line
+// bounce, when nothing is open.
+func (t *PersistentProfile) seal() {
+	if t.edit.Load() != 0 {
+		t.edit.Store(0)
+	}
+}
+
+// beginEdit opens an edit unless one is open. Mutations call it after
+// their checks pass, so a rejected operation writes nothing at all.
+func (t *PersistentProfile) beginEdit() {
+	if t.edit.Load() == 0 {
+		t.edit.Store(editTokens.Add(1))
+	}
 }
 
 // CloneIntervals implements Intervals.
@@ -196,49 +244,58 @@ func (t *PersistentProfile) NumSegments() int { return t.n }
 // ---- copy-on-write node plumbing ----
 //
 // The only functions that construct or write pnodes. Every mutation
-// path goes clone-first: pclone/papplied return a fresh node, and all
-// subsequent writes (ppush, ppull, rotations, child-pointer updates)
-// target nodes returned by them within the same mutation.
+// path goes own-first: own/applied return a node the open edit owns,
+// and all subsequent writes (push, ppull, rotations, child-pointer
+// updates) target nodes returned by them or by newNode within the same
+// edit.
 
-// newNode draws the next priority from the splitmix64 stream.
+// newNode draws the next priority from the splitmix64 stream and
+// stamps the node with the open edit (none: the node is born sealed).
 func (t *PersistentProfile) newNode(key model.Time, val int) *pnode {
 	t.seed++
-	return &pnode{key: key, val: val, mn: val, mx: val, prio: splitmix64(t.seed)}
+	v := int32(val)
+	return &pnode{key: key, val: v, mn: v, mx: v, prio: splitmix64(t.seed), owner: t.edit.Load()}
 }
 
-// pclone returns a fresh copy of n that mutation code may write.
-func pclone(n *pnode) *pnode {
+// own returns a node with n's contents that the open edit may write: n
+// itself when this edit created it, a stamped copy otherwise. An edit
+// must be open — token 0 would claim every sealed node.
+func (t *PersistentProfile) own(n *pnode) *pnode {
+	e := t.edit.Load()
+	if n.owner == e {
+		return n
+	}
 	c := *n
+	c.owner = e
 	return &c
 }
 
-// papplied returns a fresh copy of n with d added to every segment in
-// its subtree (lazily for children) — apply fused with the clone the
-// COW discipline requires. nil stays nil.
-func papplied(n *pnode, d int) *pnode {
+// applied returns an owned n with d added to every segment in its
+// subtree (lazily for children). nil stays nil.
+func (t *PersistentProfile) applied(n *pnode, d int32) *pnode {
 	if n == nil {
 		return nil
 	}
-	c := *n
-	c.val += d
-	c.mn += d
-	c.mx += d
-	c.add += d
-	return &c
+	n = t.own(n)
+	n.val += d
+	n.mn += d
+	n.mx += d
+	n.add += d
+	return n
 }
 
-// ppush pushes n's pending lazy tag down by replacing both children
-// with applied clones. n must itself be a fresh clone.
-func ppush(n *pnode) {
+// push pushes n's pending lazy tag down onto owned children. n must
+// itself be owned.
+func (t *PersistentProfile) push(n *pnode) {
 	if n.add != 0 {
-		n.l = papplied(n.l, n.add)
-		n.r = papplied(n.r, n.add)
+		n.l = t.applied(n.l, n.add)
+		n.r = t.applied(n.r, n.add)
 		n.add = 0
 	}
 }
 
 // ppull recomputes n's aggregates from its (up-to-date) children; n's
-// own lazy tag must be clear and n must be a fresh clone.
+// own lazy tag must be clear and n must be owned.
 func ppull(n *pnode) {
 	mn, mx := n.val, n.val
 	if l := n.l; l != nil {
@@ -260,9 +317,9 @@ func ppull(n *pnode) {
 	n.mn, n.mx = mn, mx
 }
 
-// protRight rotates the fresh node n right; n and n.l must both be
-// fresh clones (the subtrees hanging off them may be shared — they are
-// only re-linked, never written).
+// protRight rotates the owned node n right; n and n.l must both be
+// owned (the subtrees hanging off them may be shared — they are only
+// re-linked, never written).
 func protRight(n *pnode) *pnode {
 	l := n.l
 	n.l = l.r
@@ -272,7 +329,7 @@ func protRight(n *pnode) *pnode {
 	return l
 }
 
-// protLeft rotates the fresh node n left; n and n.r must both be fresh.
+// protLeft rotates the owned node n left; n and n.r must both be owned.
 func protLeft(n *pnode) *pnode {
 	r := n.r
 	n.r = r.l
@@ -282,14 +339,14 @@ func protLeft(n *pnode) *pnode {
 	return r
 }
 
-// insert adds a new breakpoint, path-copying the descent; the key must
-// not be present. Returns the fresh subtree root.
+// insert adds a new breakpoint, owning the descent; the key must not
+// be present. Returns the owned subtree root.
 func (t *PersistentProfile) insert(n *pnode, key model.Time, val int) *pnode {
 	if n == nil {
 		return t.newNode(key, val)
 	}
-	n = pclone(n)
-	ppush(n)
+	n = t.own(n)
+	t.push(n)
 	if key < n.key {
 		l := t.insert(n.l, key, val)
 		n.l = l
@@ -311,31 +368,31 @@ func (t *PersistentProfile) insert(n *pnode, key model.Time, val int) *pnode {
 	return n
 }
 
-// erase removes the breakpoint at key, path-copying the descent; the
-// key must be present. The removed node and the replaced spine become
+// erase removes the breakpoint at key, owning the descent; the key
+// must be present. The removed node and any copied spine become
 // garbage once no snapshot references the old root.
 func (t *PersistentProfile) erase(n *pnode, key model.Time) *pnode {
 	if n == nil {
 		return nil
 	}
-	n = pclone(n)
-	ppush(n)
+	n = t.own(n)
+	t.push(n)
 	switch {
 	case key < n.key:
 		n.l = t.erase(n.l, key)
 	case key > n.key:
 		n.r = t.erase(n.r, key)
 	default:
-		return pmerge(n.l, n.r)
+		return t.merge(n.l, n.r)
 	}
 	ppull(n)
 	return n
 }
 
-// pmerge joins two treaps where every key of a precedes every key of
-// b, path-copying the merge spine. Both inputs may be shared; the
-// returned root is fresh wherever it differs from them.
-func pmerge(a, b *pnode) *pnode {
+// merge joins two treaps where every key of a precedes every key of
+// b, owning the merge spine. Both inputs may be shared; the returned
+// root is owned wherever it differs from them.
+func (t *PersistentProfile) merge(a, b *pnode) *pnode {
 	if a == nil {
 		return b
 	}
@@ -343,33 +400,33 @@ func pmerge(a, b *pnode) *pnode {
 		return a
 	}
 	if a.prio > b.prio {
-		a = pclone(a)
-		ppush(a)
-		a.r = pmerge(a.r, b)
+		a = t.own(a)
+		t.push(a)
+		a.r = t.merge(a.r, b)
 		ppull(a)
 		return a
 	}
-	b = pclone(b)
-	ppush(b)
-	b.l = pmerge(a, b.l)
+	b = t.own(b)
+	t.push(b)
+	b.l = t.merge(a, b.l)
 	ppull(b)
 	return b
 }
 
-// rangeAdd adds d to every segment with key in [lo, hi), path-copying
-// the touched frontier. (lb, ub) are the inclusive key bounds of n's
+// rangeAdd adds d to every segment with key in [lo, hi), owning the
+// touched frontier. (lb, ub) are the inclusive key bounds of n's
 // subtree implied by the descent path; a fully covered subtree absorbs
-// the add lazily via one applied clone, an untouched subtree is shared
-// unchanged.
-func (t *PersistentProfile) rangeAdd(n *pnode, lb, ub, lo, hi model.Time, d int) *pnode {
+// the add lazily on its one applied root, an untouched subtree is
+// shared unchanged.
+func (t *PersistentProfile) rangeAdd(n *pnode, lb, ub, lo, hi model.Time, d int32) *pnode {
 	if n == nil || ub < lo || lb >= hi {
 		return n
 	}
 	if lo <= lb && ub < hi {
-		return papplied(n, d)
+		return t.applied(n, d)
 	}
-	n = pclone(n)
-	ppush(n)
+	n = t.own(n)
+	t.push(n)
 	if lo <= n.key && n.key < hi {
 		n.val += d
 	}
@@ -391,13 +448,13 @@ func (t *PersistentProfile) rangeAdd(n *pnode, lb, ub, lo, hi model.Time, d int)
 //
 //reschedvet:hotpath
 func (t *PersistentProfile) floor(x model.Time) (key model.Time, val int, ok bool) {
-	n, acc := t.root, 0
+	n, acc := t.root, int32(0)
 	for n != nil {
 		if x < n.key {
 			acc += n.add
 			n = n.l
 		} else {
-			key, val, ok = n.key, n.val+acc, true
+			key, val, ok = n.key, int(n.val+acc), true
 			acc += n.add
 			n = n.r
 		}
@@ -427,16 +484,16 @@ func (t *PersistentProfile) succKey(x model.Time) model.Time {
 // [lo, hi), or freeCeil when none exist.
 //
 //reschedvet:hotpath
-func (t *PersistentProfile) rangeMin(n *pnode, acc int, lb, ub, lo, hi model.Time) int {
+func (t *PersistentProfile) rangeMin(n *pnode, acc int32, lb, ub, lo, hi model.Time) int {
 	if n == nil || ub < lo || lb >= hi {
 		return freeCeil
 	}
 	if lo <= lb && ub < hi {
-		return n.mn + acc
+		return int(n.mn + acc)
 	}
 	m := freeCeil
 	if lo <= n.key && n.key < hi {
-		m = n.val + acc
+		m = int(n.val + acc)
 	}
 	acc += n.add
 	if v := t.rangeMin(n.l, acc, lb, n.key-1, lo, hi); v < m {
@@ -452,11 +509,11 @@ func (t *PersistentProfile) rangeMin(n *pnode, acc int, lb, ub, lo, hi model.Tim
 // than procs free, pruning subtrees whose min already satisfies procs.
 //
 //reschedvet:hotpath
-func (t *PersistentProfile) firstBelow(n *pnode, acc int, procs int, from model.Time) (model.Time, bool) {
+func (t *PersistentProfile) firstBelow(n *pnode, acc int32, procs int, from model.Time) (model.Time, bool) {
 	if n == nil {
 		return 0, false
 	}
-	if n.mn+acc >= procs {
+	if int(n.mn+acc) >= procs {
 		return 0, false
 	}
 	if n.key < from {
@@ -465,7 +522,7 @@ func (t *PersistentProfile) firstBelow(n *pnode, acc int, procs int, from model.
 	if k, ok := t.firstBelow(n.l, acc+n.add, procs, from); ok {
 		return k, ok
 	}
-	if n.val+acc < procs {
+	if int(n.val+acc) < procs {
 		return n.key, true
 	}
 	return t.firstBelow(n.r, acc+n.add, procs, from)
@@ -476,11 +533,11 @@ func (t *PersistentProfile) firstBelow(n *pnode, acc int, procs int, from model.
 // count.
 //
 //reschedvet:hotpath
-func (t *PersistentProfile) firstAbove(n *pnode, acc int, limit int, from, to model.Time) (int, bool) {
+func (t *PersistentProfile) firstAbove(n *pnode, acc int32, limit int, from, to model.Time) (int, bool) {
 	if n == nil {
 		return 0, false
 	}
-	if n.mx+acc <= limit {
+	if int(n.mx+acc) <= limit {
 		return 0, false
 	}
 	if n.key >= to {
@@ -492,8 +549,8 @@ func (t *PersistentProfile) firstAbove(n *pnode, acc int, limit int, from, to mo
 	if v, ok := t.firstAbove(n.l, acc+n.add, limit, from, to); ok {
 		return v, ok
 	}
-	if n.val+acc > limit {
-		return n.val + acc, true
+	if v := int(n.val + acc); v > limit {
+		return v, true
 	}
 	return t.firstAbove(n.r, acc+n.add, limit, from, to)
 }
@@ -502,11 +559,11 @@ func (t *PersistentProfile) firstAbove(n *pnode, acc int, limit int, from, to mo
 // at least procs free — the top of the latest feasible run.
 //
 //reschedvet:hotpath
-func (t *PersistentProfile) lastFeasibleUpTo(n *pnode, acc int, procs int, upto model.Time) (model.Time, bool) {
+func (t *PersistentProfile) lastFeasibleUpTo(n *pnode, acc int32, procs int, upto model.Time) (model.Time, bool) {
 	if n == nil {
 		return 0, false
 	}
-	if n.mx+acc < procs {
+	if int(n.mx+acc) < procs {
 		return 0, false
 	}
 	if n.key > upto {
@@ -515,7 +572,7 @@ func (t *PersistentProfile) lastFeasibleUpTo(n *pnode, acc int, procs int, upto 
 	if k, ok := t.lastFeasibleUpTo(n.r, acc+n.add, procs, upto); ok {
 		return k, ok
 	}
-	if n.val+acc >= procs {
+	if int(n.val+acc) >= procs {
 		return n.key, true
 	}
 	return t.lastFeasibleUpTo(n.l, acc+n.add, procs, upto)
@@ -526,11 +583,11 @@ func (t *PersistentProfile) lastFeasibleUpTo(n *pnode, acc int, procs int, upto 
 // from below.
 //
 //reschedvet:hotpath
-func (t *PersistentProfile) lastBlockingUpTo(n *pnode, acc int, procs int, upto model.Time) (model.Time, bool) {
+func (t *PersistentProfile) lastBlockingUpTo(n *pnode, acc int32, procs int, upto model.Time) (model.Time, bool) {
 	if n == nil {
 		return 0, false
 	}
-	if n.mn+acc >= procs {
+	if int(n.mn+acc) >= procs {
 		return 0, false
 	}
 	if n.key > upto {
@@ -539,7 +596,7 @@ func (t *PersistentProfile) lastBlockingUpTo(n *pnode, acc int, procs int, upto 
 	if k, ok := t.lastBlockingUpTo(n.r, acc+n.add, procs, upto); ok {
 		return k, ok
 	}
-	if n.val+acc < procs {
+	if int(n.val+acc) < procs {
 		return n.key, true
 	}
 	return t.lastBlockingUpTo(n.l, acc+n.add, procs, upto)
@@ -547,21 +604,21 @@ func (t *PersistentProfile) lastBlockingUpTo(n *pnode, acc int, procs int, upto 
 
 // visit walks the tree in key order calling fn(key, free); fn returns
 // false to stop early.
-func (t *PersistentProfile) visit(n *pnode, acc int, fn func(model.Time, int) bool) bool {
+func (t *PersistentProfile) visit(n *pnode, acc int32, fn func(model.Time, int) bool) bool {
 	if n == nil {
 		return true
 	}
 	if !t.visit(n.l, acc+n.add, fn) {
 		return false
 	}
-	if !fn(n.key, n.val+acc) {
+	if !fn(n.key, int(n.val+acc)) {
 		return false
 	}
 	return t.visit(n.r, acc+n.add, fn)
 }
 
 // visitFrom is visit restricted to keys >= from.
-func (t *PersistentProfile) visitFrom(n *pnode, acc int, from model.Time, fn func(model.Time, int) bool) bool {
+func (t *PersistentProfile) visitFrom(n *pnode, acc int32, from model.Time, fn func(model.Time, int) bool) bool {
 	if n == nil {
 		return true
 	}
@@ -571,7 +628,7 @@ func (t *PersistentProfile) visitFrom(n *pnode, acc int, from model.Time, fn fun
 	if !t.visitFrom(n.l, acc+n.add, from, fn) {
 		return false
 	}
-	if !fn(n.key, n.val+acc) {
+	if !fn(n.key, int(n.val+acc)) {
 		return false
 	}
 	return t.visit(n.r, acc+n.add, fn)
@@ -844,44 +901,46 @@ func (t *PersistentProfile) unreserveChecks(start, end model.Time, procs int) er
 }
 
 // Reserve commits a reservation of procs processors during
-// [start, end) by path-copying O(log n) nodes and swinging t.root to
-// the fresh spine; same contract and failure modes as the flat
-// backend. Handles holding the previous root are unaffected. For a
-// window tree, end may equal the horizon: the end breakpoint then
-// belongs to the neighbouring window and is skipped.
+// [start, end), writing the O(log n) touched nodes — in place where the
+// handle's open edit owns them, as stamped copies otherwise — and
+// swinging t.root to the result; same contract and failure modes as
+// the flat backend. Other handles are unaffected: no node they can
+// reach is owned by this edit. For a window tree, end may equal the
+// horizon: the end breakpoint then belongs to the neighbouring window
+// and is skipped.
 func (t *PersistentProfile) Reserve(start, end model.Time, procs int) error {
 	if err := t.reserveChecks(start, end, procs); err != nil {
 		return err
 	}
-	t.ensureBreak(start)
-	if end < t.horizon {
-		t.ensureBreak(end)
-	}
-	t.root = t.rangeAdd(t.root, keyFloor, keyCeil, start, end, -procs)
-	if end < t.horizon {
-		t.coalesceBoundary(end)
-	}
-	t.coalesceBoundary(start)
+	t.addRange(start, end, int32(-procs))
 	return nil
 }
 
 // Unreserve returns procs processors to the profile during
 // [start, end); same contract and failure modes as the flat backend,
-// path-copying like Reserve.
+// copy-on-write like Reserve.
 func (t *PersistentProfile) Unreserve(start, end model.Time, procs int) error {
 	if err := t.unreserveChecks(start, end, procs); err != nil {
 		return err
 	}
+	t.addRange(start, end, int32(procs))
+	return nil
+}
+
+// addRange is the mutation Reserve and Unreserve share once their
+// checks have passed: open the edit, break at both ends, add, and
+// coalesce the ends away again where they no longer separate values.
+func (t *PersistentProfile) addRange(start, end model.Time, d int32) {
+	t.beginEdit()
 	t.ensureBreak(start)
 	if end < t.horizon {
 		t.ensureBreak(end)
 	}
-	t.root = t.rangeAdd(t.root, keyFloor, keyCeil, start, end, procs)
+	t.root = t.rangeAdd(t.root, keyFloor, keyCeil, start, end, d)
 	if end < t.horizon {
 		t.coalesceBoundary(end)
 	}
 	t.coalesceBoundary(start)
-	return nil
 }
 
 // ---- window concatenation ----
@@ -889,9 +948,11 @@ func (t *PersistentProfile) Unreserve(start, end model.Time, procs int) error {
 // ConcatPersistent joins adjacent window profiles into one full
 // profile in O(#parts · log n) path-copies: parts must be in ascending
 // time order with parts[i].Horizon() == parts[i+1].Origin(), equal
-// capacities, and the last part's horizon == model.Infinity. The parts
-// are not modified (their roots are shared, never written), so the
-// book's shard roots stay live behind the returned handle. Boundary
+// capacities, and the last part's horizon == model.Infinity. The parts'
+// step functions are not modified — their roots are shared, so each
+// part is sealed as by Clone — and the book's shard roots stay live
+// behind the returned handle, itself sealed: a snapshot handed to many
+// goroutines is cloned by each without a single write. Boundary
 // breakpoints whose segment value equals the predecessor window's last
 // segment are coalesced away, so the result is canonical — Segments,
 // String, and Check match a flat profile built from the same
@@ -901,7 +962,9 @@ func ConcatPersistent(parts []*PersistentProfile) *PersistentProfile {
 		panic("profile: ConcatPersistent of no windows")
 	}
 	out := parts[0].Clone()
+	out.beginEdit()
 	for _, p := range parts[1:] {
+		p.seal()
 		if p.origin != out.horizon {
 			panic(fmt.Sprintf("profile: window starting %d does not abut horizon %d", p.origin, out.horizon))
 		}
@@ -910,7 +973,7 @@ func ConcatPersistent(parts []*PersistentProfile) *PersistentProfile {
 		}
 		_, lastVal, _ := out.floor(p.origin - 1)
 		_, firstVal, _ := p.floor(p.origin)
-		out.root = pmerge(out.root, p.root)
+		out.root = out.merge(out.root, p.root)
 		out.n += p.n
 		out.horizon = p.horizon
 		// Mix the window's stream into the seed so post-concat staging
@@ -922,6 +985,7 @@ func ConcatPersistent(parts []*PersistentProfile) *PersistentProfile {
 			out.n--
 		}
 	}
+	out.seal()
 	return out
 }
 

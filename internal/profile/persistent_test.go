@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"resched/internal/model"
 )
@@ -237,20 +238,23 @@ func TestPersistentWindowConcat(t *testing.T) {
 // TestConcatPersistentContracts pins the panic contracts: empty input
 // and non-abutting windows are programming errors.
 func TestConcatPersistentContracts(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty", func() { ConcatPersistent(nil) })
+	mustPanic(t, "empty", func() { ConcatPersistent(nil) })
 	a := NewPersistentWindow(8, 0, 100, 0)
 	b := NewPersistentWindow(8, 200, model.Infinity, 1<<32)
-	mustPanic("gap", func() { ConcatPersistent([]*PersistentProfile{a, b}) })
+	mustPanic(t, "gap", func() { ConcatPersistent([]*PersistentProfile{a, b}) })
 	c := NewPersistentWindow(4, 100, model.Infinity, 1<<32)
-	mustPanic("capacity", func() { ConcatPersistent([]*PersistentProfile{a, c}) })
+	mustPanic(t, "capacity", func() { ConcatPersistent([]*PersistentProfile{a, c}) })
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected panic", name)
+		}
+	}()
+	fn()
 }
 
 // TestPersistentCloneIsolation is the directed version of the frozen
@@ -333,76 +337,319 @@ func TestCopyIntervalsPersistent(t *testing.T) {
 	}
 }
 
+// twin is a persistent handle beside the flat profile it must equal.
+// For a clone nobody has mutated, the flat side is the rendering the
+// clone had at birth.
+type twin struct {
+	pers *PersistentProfile
+	flat *Profile
+}
+
+// editHarness runs the persistent-vs-flat differential over a family
+// of handles split off one another by Clone, so that mutations run on
+// inside one edit (no Clone in between, owned nodes written in place)
+// as well as across edits and on both sides of a split. twins[0] is
+// the live handle; every clone ever taken stays in twins and is
+// re-checked after every step, so a write that reaches a node some
+// other handle still holds shows on the step that makes it.
+type editHarness struct {
+	t     testing.TB
+	twins []twin
+}
+
+func newEditHarness(t testing.TB, capacity int) *editHarness {
+	return &editHarness{t: t, twins: []twin{{NewPersistent(capacity, 0), New(capacity, 0)}}}
+}
+
+// clone splits a new handle off twins[i], ending i's edit.
+func (h *editHarness) clone(i int) {
+	src := h.twins[i]
+	h.twins = append(h.twins, twin{src.pers.Clone(), src.flat.Clone()})
+}
+
+// sameSteps reports whether p and f hold the same step function,
+// without rendering either.
+func sameSteps(p *PersistentProfile, f *Profile) bool {
+	i := 0
+	whole := p.visit(p.root, 0, func(k model.Time, v int) bool {
+		if i >= len(f.times) || f.times[i] != k || f.free[i] != v {
+			return false
+		}
+		i++
+		return true
+	})
+	return whole && i == len(f.times)
+}
+
+// step applies one operation (decodeTreeOp's selectors) to twins[i]
+// and its flat side, requires the same outcome from both, and then
+// requires every handle of the family to still equal its flat side.
+func (h *editHarness) step(step, i int, op uint8, start, end model.Time, procs int) {
+	t := h.t
+	pers, flat := h.twins[i].pers, h.twins[i].flat
+	switch op {
+	case 0: // Reserve
+		errF := flat.Reserve(start, end, procs)
+		errP := pers.Reserve(start, end, procs)
+		if (errF == nil) != (errP == nil) {
+			t.Fatalf("step %d: Reserve flat err=%v, persistent err=%v", step, errF, errP)
+		}
+		if errF != nil && errF.Error() != errP.Error() {
+			t.Fatalf("step %d: Reserve errors diverged\nflat: %v\npersistent: %v", step, errF, errP)
+		}
+	case 1: // Unreserve
+		errF := flat.Unreserve(start, end, procs)
+		errP := pers.Unreserve(start, end, procs)
+		if (errF == nil) != (errP == nil) {
+			t.Fatalf("step %d: Unreserve flat err=%v, persistent err=%v", step, errF, errP)
+		}
+		if errF != nil && errF.Error() != errP.Error() {
+			t.Fatalf("step %d: Unreserve errors diverged\nflat: %v\npersistent: %v", step, errF, errP)
+		}
+	case 2: // EarliestFit (via Checked so bad args reject, not panic)
+		sF, errF := flat.EarliestFitChecked(procs, end-start, start)
+		sP, errP := pers.EarliestFitChecked(procs, end-start, start)
+		if (errF == nil) != (errP == nil) || sF != sP {
+			t.Fatalf("step %d: EarliestFitChecked flat (%d,%v), persistent (%d,%v)", step, sF, errF, sP, errP)
+		}
+	case 3: // LatestFit over a window derived from the operands
+		sF, okF, errF := flat.LatestFitChecked(procs, model.Duration(procs), start, end)
+		sP, okP, errP := pers.LatestFitChecked(procs, model.Duration(procs), start, end)
+		if (errF == nil) != (errP == nil) || okF != okP || (okF && sF != sP) {
+			t.Fatalf("step %d: LatestFitChecked flat (%d,%v,%v), persistent (%d,%v,%v)",
+				step, sF, okF, errF, sP, okP, errP)
+		}
+	case 4: // MinFree
+		vF, errF := flat.MinFreeChecked(start, end)
+		vP, errP := pers.MinFreeChecked(start, end)
+		if (errF == nil) != (errP == nil) || vF != vP {
+			t.Fatalf("step %d: MinFreeChecked flat (%d,%v), persistent (%d,%v)", step, vF, errF, vP, errP)
+		}
+	}
+	if err := pers.Check(); err != nil {
+		t.Fatalf("step %d: persistent invariants: %v", step, err)
+	}
+	for j, tw := range h.twins {
+		if sameSteps(tw.pers, tw.flat) {
+			continue
+		}
+		if j == i {
+			t.Fatalf("step %d: divergence\n  persistent %s\n  flat       %s", step, pers, flat)
+		}
+		t.Fatalf("step %d: op %d on handle %d wrote through a node handle %d shares:\n  was %s\n  now %s",
+			step, op, i, j, tw.flat, tw.pers)
+	}
+}
+
+// TestPersistentEditRuns is the seeded differential for edits that
+// outlive one mutation — the regime TestPersistentMatchesFlatRandom,
+// which clones before every step, never enters. The live handle is
+// cloned only every run-th step it takes, so it carries run mutations
+// (1 to 64) inside one edit; three steps in ten go to some clone
+// instead, which puts both sides of a split under edit at once, and
+// a quarter of those clone the clone first.
+func TestPersistentEditRuns(t *testing.T) {
+	for _, run := range []int{1, 2, 3, 7, 16, 33, 64} {
+		run := run
+		t.Run(fmt.Sprintf("run=%d", run), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(run) * 104729))
+			capacity := 4 + rng.Intn(60)
+			h := newEditHarness(t, capacity)
+			sinceClone := run // clone before the first step too
+			for step := 0; step < 320; step++ {
+				target := 0
+				if len(h.twins) > 1 && rng.Intn(10) < 3 {
+					target = 1 + rng.Intn(len(h.twins)-1)
+					if rng.Intn(4) == 0 {
+						h.clone(target)
+					}
+				} else {
+					if sinceClone == run {
+						h.clone(0)
+						sinceClone = 0
+					}
+					sinceClone++
+				}
+				op := uint8(rng.Intn(6) % 5) // Reserve twice as often as the rest
+				start := model.Time(rng.Int63n(10_000))
+				end := start + 1 + model.Duration(rng.Int63n(500))
+				procs := 1 + rng.Intn(capacity+4)
+				if op == 1 && rng.Intn(4) != 0 {
+					// Mostly release something the target actually holds.
+					if busy := h.twins[target].flat.Reservations(); len(busy) > 0 {
+						r := busy[rng.Intn(len(busy))]
+						start, end, procs = r.Start, r.End, 1+rng.Intn(r.Procs)
+					}
+				}
+				h.step(step, target, op, start, end, procs)
+			}
+			for j, tw := range h.twins {
+				if err := tw.pers.Check(); err != nil {
+					t.Fatalf("handle %d invariants: %v", j, err)
+				}
+			}
+		})
+	}
+}
+
+// TestConcatPersistentSealsParts: the concatenated handle shares every
+// part's root, not only the first's, so every part's edit must end at
+// the concat — a later mutation of a window may not show through.
+func TestConcatPersistentSealsParts(t *testing.T) {
+	a := NewPersistentWindow(8, 0, 100, 0)
+	b := NewPersistentWindow(8, 100, model.Infinity, 1<<32)
+	for i := model.Time(0); i < 20; i++ {
+		if err := a.Reserve(5*i, 5*i+3, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Reserve(100+5*i, 100+5*i+3, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := ConcatPersistent([]*PersistentProfile{a, b})
+	if all.edit.Load() != 0 {
+		t.Fatalf("ConcatPersistent returned a handle with edit %d open", all.edit.Load())
+	}
+	want := all.String()
+	for i := model.Time(0); i < 20; i++ {
+		if err := a.Reserve(5*i, 5*i+3, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Reserve(100+5*i, 100+5*i+3, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := all.String(); got != want {
+		t.Fatalf("concatenated handle observed a later window mutation:\n  was %s\n  now %s", want, got)
+	}
+	wantA, wantB := a.String(), b.String()
+	if err := all.Reserve(0, 300, 5); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != wantA || b.String() != wantB {
+		t.Fatalf("staging on the concatenated handle reached the windows:\n  %s\n  %s", a, b)
+	}
+}
+
+// TestPersistentNodeLayout pins the two layout facts the backend's
+// speed rests on: a pnode stays in the 64-byte size class (one cache
+// line per descent step; the owner word was paid for by narrowing the
+// counts to int32), and a capacity those counts cannot hold is refused
+// at construction, not wrapped.
+func TestPersistentNodeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(pnode{}); sz > 64 {
+		t.Fatalf("pnode is %d bytes, over the 64-byte size class", sz)
+	}
+	mustPanic(t, "window of capacity freeCeil", func() { NewPersistentWindow(freeCeil, 0, model.Infinity, 0) })
+	mustPanic(t, "flat profile of capacity freeCeil", func() { NewPersistentFromProfile(New(freeCeil, 0)) })
+	NewPersistent(freeCeil-1, 0) // the largest capacity the counts hold
+}
+
+// TestPersistentRejectedMutationWritesNothing: the edit token is drawn
+// after the checks, so a refused Reserve or Unreserve leaves a sealed
+// handle sealed and draws no token.
+func TestPersistentRejectedMutationWritesNothing(t *testing.T) {
+	p := NewPersistent(4, 0)
+	before := editTokens.Load()
+	if p.Reserve(0, 10, 5) == nil || p.Unreserve(0, 10, 1) == nil || p.Reserve(10, 10, 1) == nil {
+		t.Fatal("malformed mutations accepted")
+	}
+	if p.edit.Load() != 0 || editTokens.Load() != before {
+		t.Fatalf("rejected mutations opened edit %d (tokens %d -> %d)", p.edit.Load(), before, editTokens.Load())
+	}
+	if err := p.Reserve(0, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	e := p.edit.Load()
+	if e == 0 || e != editTokens.Load() {
+		t.Fatalf("accepted mutation left edit %d, tokens at %d", e, editTokens.Load())
+	}
+	if err := p.Reserve(20, 30, 1); err != nil || p.edit.Load() != e {
+		t.Fatalf("second mutation of the edit: err=%v, edit %d -> %d", err, e, p.edit.Load())
+	}
+	c := p.Clone()
+	if p.edit.Load() != 0 || c.edit.Load() != 0 {
+		t.Fatalf("Clone left edits open: receiver %d, clone %d", p.edit.Load(), c.edit.Load())
+	}
+}
+
+// editRunSeed encodes a fuzz input of steps mutations on the live
+// handle with a Clone before every run-th: overlapping one-processor
+// reserves, every fourth step releasing the window booked three steps
+// earlier.
+func editRunSeed(steps, run int) []byte {
+	var b []byte
+	for i := 0; i < steps; i++ {
+		op, w := byte(0), i
+		if i%4 == 3 {
+			op, w = 1, i-3
+		}
+		if i%run != 0 {
+			op += 5 // control bit 0: no Clone before this step
+		}
+		b = append(b, op, byte(7*w), byte(7*w>>8), 20, 0, 1)
+	}
+	return b
+}
+
+// editSplitSeed encodes a fuzz input that puts both sides of a split
+// under edit: sixteen bookings inside one edit of the live handle, a
+// Clone, then steps alternating between the live handle (control 1)
+// and the clone (control 2|1) — whose first booking spans every node
+// the two still share — a clone of the clone (control 2), a release on
+// the first clone and a booking on the second (control 4|2|1).
+func editSplitSeed() []byte {
+	var b []byte
+	for i := 0; i < 16; i++ {
+		b = append(b, 5, byte(100*i), byte(100*i>>8), 50, 0, 1)
+	}
+	return append(b,
+		0, 0x88, 0x13, 10, 0, 1, // Clone, then live books [5000,5010)
+		15, 0, 0, 0xd0, 0x07, 1, // clone books [0,2000)
+		5, 20, 0, 10, 0, 2, // live books [20,30)
+		10, 0x2c, 0x01, 0x90, 0x01, 3, // Clone of the clone, which then books [300,700)
+		16, 0, 0, 50, 0, 1, // clone releases [0,50)
+		35, 0, 0, 0xd0, 0x07, 4, // second clone books [0,2000)
+		5, 0, 0, 0xd0, 0x07, 2, // live books [0,2000)
+	)
+}
+
 // FuzzPersistentVsFlat is FuzzTreeProfileVsFlat for the persistent
-// backend, with one extra invariant per step: a handle cloned before
-// the operation must render identically after it (copy-on-write — no
-// write ever reaches a shared node).
+// backend over a family of handles (editHarness): a handle cloned
+// before an operation must render identically after it and after
+// every later one — no write ever reaches a node another handle holds.
+// The op byte's quotient by 5 is a control field. Bit 0 set skips the
+// Clone before the step, so the fuzzer chooses how many mutations
+// (0 to 64) an edit carries; bit 1 set applies the step, Clone
+// included, to the clone the remaining bits pick, not the live handle,
+// so clones are mutated and cloned in turn. Control 0 — every input of
+// the corpus before the field existed — clones the live handle before
+// every step.
 func FuzzPersistentVsFlat(f *testing.F) {
 	f.Add(uint8(7), []byte{0, 10, 0, 20, 0, 3, 2, 15, 0, 10, 0, 2})
 	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 0})
 	f.Add(uint8(31), []byte{0, 1, 0, 1, 0, 255, 3, 1, 0, 1, 0, 255, 4, 9, 0, 9, 0, 9})
+	f.Add(uint8(7), editRunSeed(64, 64))
+	f.Add(uint8(7), editRunSeed(64, 5))
+	f.Add(uint8(15), editSplitSeed())
 	f.Fuzz(func(t *testing.T, capRaw uint8, ops []byte) {
 		capacity := int(capRaw%32) + 1
 		if len(ops) > 64*6 {
 			ops = ops[:64*6]
 		}
-		flat := New(capacity, 0)
-		pers := NewPersistent(capacity, 0)
+		h := newEditHarness(t, capacity)
 		for step := 0; len(ops) >= 6; step++ {
 			op, start, end, procs := decodeTreeOp(ops)
+			ctl := int(ops[0]) / 5
 			ops = ops[6:]
-
-			snap := pers.Clone()
-			frozen := snap.String()
-
-			switch op {
-			case 0: // Reserve
-				errF := flat.Reserve(start, end, procs)
-				errP := pers.Reserve(start, end, procs)
-				if (errF == nil) != (errP == nil) {
-					t.Fatalf("step %d: Reserve flat err=%v, persistent err=%v", step, errF, errP)
-				}
-				if errF != nil && errF.Error() != errP.Error() {
-					t.Fatalf("step %d: Reserve errors diverged\nflat: %v\npersistent: %v", step, errF, errP)
-				}
-			case 1: // Unreserve
-				errF := flat.Unreserve(start, end, procs)
-				errP := pers.Unreserve(start, end, procs)
-				if (errF == nil) != (errP == nil) {
-					t.Fatalf("step %d: Unreserve flat err=%v, persistent err=%v", step, errF, errP)
-				}
-				if errF != nil && errF.Error() != errP.Error() {
-					t.Fatalf("step %d: Unreserve errors diverged\nflat: %v\npersistent: %v", step, errF, errP)
-				}
-			case 2: // EarliestFit (via Checked so bad args reject, not panic)
-				sF, errF := flat.EarliestFitChecked(procs, end-start, start)
-				sP, errP := pers.EarliestFitChecked(procs, end-start, start)
-				if (errF == nil) != (errP == nil) || sF != sP {
-					t.Fatalf("step %d: EarliestFitChecked flat (%d,%v), persistent (%d,%v)", step, sF, errF, sP, errP)
-				}
-			case 3: // LatestFit over a window derived from the operands
-				sF, okF, errF := flat.LatestFitChecked(procs, model.Duration(procs), start, end)
-				sP, okP, errP := pers.LatestFitChecked(procs, model.Duration(procs), start, end)
-				if (errF == nil) != (errP == nil) || okF != okP || (okF && sF != sP) {
-					t.Fatalf("step %d: LatestFitChecked flat (%d,%v,%v), persistent (%d,%v,%v)",
-						step, sF, okF, errF, sP, okP, errP)
-				}
-			case 4: // MinFree
-				vF, errF := flat.MinFreeChecked(start, end)
-				vP, errP := pers.MinFreeChecked(start, end)
-				if (errF == nil) != (errP == nil) || vF != vP {
-					t.Fatalf("step %d: MinFreeChecked flat (%d,%v), persistent (%d,%v)", step, vF, errF, vP, errP)
-				}
+			target := 0
+			if ctl&2 != 0 && len(h.twins) > 1 {
+				target = 1 + (ctl>>2)%(len(h.twins)-1)
 			}
-			if snap.String() != frozen {
-				t.Fatalf("step %d: op %d wrote through a shared node:\n  was %s\n  now %s", step, op, frozen, snap.String())
+			if ctl&1 == 0 {
+				h.clone(target)
 			}
-			if err := pers.Check(); err != nil {
-				t.Fatalf("step %d: persistent invariants: %v", step, err)
-			}
-			if pers.String() != flat.String() {
-				t.Fatalf("step %d: divergence\n  persistent %s\n  flat       %s", step, pers, flat)
-			}
+			h.step(step, target, op, start, end, procs)
 		}
 	})
 }

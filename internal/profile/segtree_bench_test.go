@@ -98,5 +98,31 @@ func BenchmarkTreeMutate(b *testing.B) {
 				}
 			}
 		})
+		// The persistent treap in its two regimes: one handle whose edit
+		// runs on across round trips (owned nodes written in place), and
+		// a Clone before every round trip, which ends the edit, so that
+		// each round trip copies the nodes it touches — once, where
+		// before edits existed each of its ten descents copied its path.
+		for _, cloned := range []bool{false, true} {
+			name := "persistent"
+			if cloned {
+				name = "persistent-cloned"
+			}
+			pers := NewPersistentFromProfile(flat)
+			b.Run(fmt.Sprintf("segments=%d/backend=%s", n, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if cloned {
+						pers = pers.Clone()
+					}
+					if err := pers.Reserve(start, start+30, 1); err != nil {
+						b.Fatal(err)
+					}
+					if err := pers.Unreserve(start, start+30, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package resbook
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"resched/internal/model"
+	"resched/internal/profile"
 )
 
 // TestPersistentBookMatchesFlatOracle drives identical seeded op
@@ -139,13 +141,31 @@ func TestPersistentBookMatchesFlatOracle(t *testing.T) {
 // fresh shard roots; the frozen roots the snapshot pinned are never
 // written.
 func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
+	t.Run("frozen-handle", func(t *testing.T) { snapshotIsolationStorm(t, 0) })
+	// The second variant adds goroutines that all snapshot while the
+	// writers burst, and confines the writers to shard 0: its handle's
+	// edit is open most of the time, and Clone retires it — a store —
+	// under the shard's RLock from several goroutines at once. -race
+	// checks that store; the renders check that no burst reaches a
+	// snapshot taken in the middle of one.
+	t.Run("concurrent-snapshotters", func(t *testing.T) { snapshotIsolationStorm(t, 4) })
+}
+
+// snapshotIsolationStorm is TestSnapshotIsolationUnderConcurrentCommits'
+// body. With snapshotters > 0 that many goroutines snapshot the book
+// concurrently, and each writer works in shard 0 only, following its
+// Transact with a burst of Reserve/Release calls that take no snapshot.
+func snapshotIsolationStorm(t *testing.T, snapshotters int) {
 	const (
 		capacity = 64
 		nshards  = 8
 		writers  = 4
 		readers  = 4
-		iters    = 150
 	)
+	iters := 150
+	if snapshotters > 0 {
+		iters = 50 // every writer in one shard: most commits retry
+	}
 	book, err := NewSharded(capacity, 0, nshards, model.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +187,7 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, writers+readers)
+	errs := make(chan error, writers+readers+snapshotters)
 	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
@@ -180,6 +200,9 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 				base := int64(w) * int64(model.Hour)
 				if rng.Intn(5) == 0 {
 					base = rng.Int63n(int64(nshards-1) * int64(model.Hour))
+				}
+				if snapshotters > 0 {
+					base = 0
 				}
 				start := model.Time(base + rng.Int63n(int64(model.Hour)))
 				end := start + 1 + model.Duration(rng.Int63n(int64(model.Hour)))
@@ -199,6 +222,38 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 						return
 					}
 				}
+				for k := 0; snapshotters > 0 && k < 4; k++ {
+					r, err := book.Reserve(start, end, 1)
+					if err != nil {
+						break // full here
+					}
+					if err := book.Release(r.ID); err != nil {
+						errs <- fmt.Errorf("writer %d burst release: %v", w, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for r := 0; r < snapshotters; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held Snapshot
+			var heldRender string
+			for i := 0; i < iters; i++ {
+				s := book.Snapshot()
+				render := s.Avail.String()
+				if err := s.Avail.Check(); err != nil {
+					errs <- fmt.Errorf("snapshotter %d iter %d: %v", r, i, err)
+					return
+				}
+				if held.Avail != nil && held.Avail.String() != heldRender {
+					errs <- fmt.Errorf("snapshotter %d iter %d: snapshot taken mid-storm moved:\n  was %s\n  now %s", r, i, heldRender, held.Avail.String())
+					return
+				}
+				held, heldRender = s, render
 			}
 		}()
 	}
@@ -266,6 +321,197 @@ func TestSnapshotHandleStagingIsPrivate(t *testing.T) {
 		t.Fatalf("staging on one handle mutated another:\n  was %s\n  now %s", ref, got)
 	}
 	if err := book.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stampsOnly returns a Snapshot that passes Commit's stamp validation
+// without having cloned any shard's profile — so, unlike Snapshot, it
+// leaves the shards' open edits open. Only Epochs and Version are set.
+func stampsOnly(b *Book) Snapshot {
+	snap := Snapshot{Version: b.Version(), Epochs: make([]uint64, len(b.shards))}
+	for i := range b.shards {
+		sh := &b.shards[i]
+		sh.mu.RLock()
+		snap.Epochs[i] = sh.stamp
+		sh.mu.RUnlock()
+	}
+	return snap
+}
+
+// TestSnapshotSurvivesEditRun: a snapshot taken before K Reserve,
+// Commit and Release calls, with no snapshot in between to end the
+// shards' edits, renders unchanged after every one of them — the
+// writes in place go only to nodes created after the snapshot pinned
+// its roots — and the book stays equal to a flat-backend book given
+// the same calls.
+func TestSnapshotSurvivesEditRun(t *testing.T) {
+	const capacity = 32
+	for _, k := range []int{1, 2, 8, 50} {
+		k := k
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			pers, err := NewSharded(capacity, 0, 4, model.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, err := NewShardedFlat(capacity, 0, 4, model.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 300; i++ {
+				start := model.Time(i) * 41
+				for _, b := range []*Book{pers, flat} {
+					if _, err := b.Reserve(start, start+150, 1+i%2); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			snap := pers.Snapshot()
+			if _, tree := snap.Avail.(*profile.PersistentProfile); !tree {
+				t.Fatalf("snapshot is a %T, not a tree handle", snap.Avail)
+			}
+			frozen := snap.Avail.String()
+
+			rng := rand.New(rand.NewSource(int64(k)))
+			var live []string
+			for i := 0; i < k; i++ {
+				start := model.Time(rng.Int63n(int64(4 * model.Hour)))
+				end := start + 1 + model.Duration(rng.Int63n(int64(model.Hour)))
+				switch op := rng.Intn(3); {
+				case op == 0:
+					rp, errP := pers.Reserve(start, end, 1)
+					_, errF := flat.Reserve(start, end, 1)
+					if (errP == nil) != (errF == nil) {
+						t.Fatalf("call %d: Reserve persistent err=%v, flat err=%v", i, errP, errF)
+					}
+					if errP == nil {
+						live = append(live, rp.ID)
+					}
+				case op == 1:
+					reqs := []Request{{Start: start, End: end, Procs: 1}, {Start: end, End: end + 100, Procs: 2}}
+					outP, errP := pers.Commit(stampsOnly(pers), reqs)
+					_, errF := flat.Commit(stampsOnly(flat), reqs)
+					if (errP == nil) != (errF == nil) {
+						t.Fatalf("call %d: Commit persistent err=%v, flat err=%v", i, errP, errF)
+					}
+					for _, r := range outP {
+						live = append(live, r.ID)
+					}
+				case len(live) > 0:
+					j := rng.Intn(len(live))
+					id := live[j]
+					live = append(live[:j], live[j+1:]...)
+					if errP, errF := pers.Release(id), flat.Release(id); errP != nil || errF != nil {
+						t.Fatalf("call %d: Release(%s) persistent err=%v, flat err=%v", i, id, errP, errF)
+					}
+				}
+				if got := snap.Avail.String(); got != frozen {
+					t.Fatalf("call %d moved the snapshot:\n  was %s\n  now %s", i, frozen, got)
+				}
+			}
+			if got, want := pers.Snapshot().Avail.String(), flat.Snapshot().Avail.String(); got != want {
+				t.Fatalf("books diverged after the run:\n  persistent %s\n  flat       %s", got, want)
+			}
+			if err := pers.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestFailedCommitInsideLiveEditLeavesNoTrace: a multi-shard commit
+// that fails part-way is rolled back by Unreserve calls that, inside a
+// live edit, write the very nodes the failed Reserves wrote. Segments,
+// ledger and version must equal those of a book that never tried — at
+// once, and after further calls inside the same edits.
+func TestFailedCommitInsideLiveEditLeavesNoTrace(t *testing.T) {
+	const capacity = 16
+	build := func() *Book {
+		b, err := NewSharded(capacity, 0, 4, model.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			start := model.Time(i) * 53
+			if _, err := b.Reserve(start, start+90, 1+i%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Fill a slot of shard 2 so that anything else there fails.
+		if _, err := b.Reserve(2*model.Hour+1000, 2*model.Hour+1100, b.Snapshot().Avail.MinFree(2*model.Hour+1000, 2*model.Hour+1100)); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// touch opens (or carries on) an edit on every shard of both books.
+	touch := func(at model.Time, books ...*Book) {
+		for _, b := range books {
+			for sh := model.Time(0); sh < 4; sh++ {
+				if _, err := b.Reserve(sh*model.Hour+at, sh*model.Hour+at+10, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	tried, control := build(), build()
+	touch(10, tried, control)
+	before := tried.Snapshot() // the last Clone of tried's shards until the final comparison
+	frozen := before.Avail.String()
+	touch(30, tried, control)
+
+	version := tried.Version()
+	failing := [][]Request{
+		{ // the second request fails: the first, over shards 0-2, is rolled back by Commit
+			{Start: 100, End: 2*model.Hour + 900, Procs: 2},
+			{Start: 2*model.Hour + 1050, End: 2*model.Hour + 1060, Procs: 1},
+		},
+		{ // one request failing in its third shard: applyLocked undoes shards 0 and 1
+			{Start: model.Hour - 5, End: 2*model.Hour + 1050, Procs: 1},
+		},
+		{ // a good request behind it changes nothing
+			{Start: 2*model.Hour + 1050, End: 3*model.Hour + 7, Procs: 1},
+			{Start: 5, End: 50, Procs: 1},
+		},
+	}
+	for i, reqs := range failing {
+		if _, err := tried.Commit(stampsOnly(tried), reqs); err == nil || errors.Is(err, ErrStale) {
+			t.Fatalf("commit %d: err=%v, want a capacity failure", i, err)
+		}
+	}
+	if tried.Version() != version {
+		t.Fatalf("failed commits moved the version %d -> %d", version, tried.Version())
+	}
+	if got := before.Avail.String(); got != frozen {
+		t.Fatalf("failed commits moved an earlier snapshot:\n  was %s\n  now %s", frozen, got)
+	}
+	// Carry on inside the same edits, then compare with never having tried.
+	for i := 0; i < 40; i++ {
+		start := model.Time(i) * 311
+		for _, b := range []*Book{tried, control} {
+			r, err := b.Reserve(start, start+400, 1)
+			if err != nil {
+				continue // the full slot; the comparison below covers both books refusing
+			}
+			if i%3 == 0 {
+				if err := b.Release(r.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if got, want := tried.Snapshot().Avail.String(), control.Snapshot().Avail.String(); got != want {
+		t.Fatalf("segments differ from never having tried:\n  tried   %s\n  control %s", got, want)
+	}
+	lt, lc := tried.List(), control.List()
+	if len(lt) != len(lc) {
+		t.Fatalf("ledger has %d rows, control %d", len(lt), len(lc))
+	}
+	for i := range lt {
+		if lt[i] != lc[i] {
+			t.Fatalf("ledger row %d: %+v, control %+v", i, lt[i], lc[i])
+		}
+	}
+	if err := tried.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,13 +11,15 @@
 // deep-copy backend survives as the differential oracle, NewShardedFlat),
 // so a snapshot grabs one immutable root pointer + stamp per shard
 // under RLock — O(#shards), independent of how many reservations are
-// booked — and commits path-copy only the O(log n) nodes their
-// mutations touch, leaving outstanding snapshot roots frozen for the
-// GC to reclaim. A scheduler takes a snapshot — the concatenated
-// availability handle plus the per-shard stamps it was read at —
-// computes a schedule against it without holding any lock (list
-// scheduling is the expensive part), and then commits
-// the resulting reservations: the commit locks only the shards the
+// booked — and commits copy only those of the O(log n) nodes their
+// mutations touch that a snapshot may still hold: taking the snapshot
+// ends the shard handle's edit, and the writes up to the next one
+// share an edit and update the nodes it created in place. Outstanding
+// snapshot roots stay frozen for the GC to reclaim. A scheduler takes
+// a snapshot — the concatenated availability handle plus the per-shard
+// stamps it was read at — computes a schedule against it without
+// holding any lock (list scheduling is the expensive part), and then
+// commits the resulting reservations: the commit locks only the shards the
 // reservations touch, in ascending index order, and revalidates their
 // stamps. If any of those shards moved in between, the commit fails
 // with ErrStale and the caller recomputes against a fresh snapshot —
@@ -40,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -127,8 +130,9 @@ type Snapshot struct {
 // backend) is non-nil, fixed at construction. stamp counts the
 // mutations that touched the shard; pprof, prof, res, and stamp are
 // guarded by mu — for pprof that guards the root-pointer swap a
-// path-copying mutation publishes; the nodes behind a published root
-// are immutable and safe to read lock-free through a Snapshot handle.
+// mutation publishes and the writes in place of its open edit; the
+// nodes behind a root a Snapshot has cloned are immutable (Clone, under
+// RLock, ends the edit) and safe to read lock-free through the handle.
 type bookShard struct {
 	start model.Time
 	end   model.Time
@@ -376,6 +380,9 @@ func (b *Book) SnapshotInto(dst *profile.Profile) Snapshot {
 			snap.Version = b.version.Load()
 		}
 		snap.Epochs[i] = sh.stamp
+		// Clone ends the shard's open edit — one atomic word, the only
+		// thing a snapshot writes — so no later commit writes a node
+		// this snapshot pins.
 		parts[i] = sh.pprof.Clone()
 		sh.mu.RUnlock()
 		total += parts[i].NumSegments()
@@ -421,9 +428,9 @@ func (b *Book) reserveChecks(start, end model.Time, procs int) error {
 
 // shardReserveLocked books a clipped piece into shard i on whichever
 // profile backend the book runs; the shard's lock must be held. On the
-// persistent backend the mutation path-copies O(log n) nodes and swaps
-// the shard's root — snapshot handles sharing the old root are
-// untouched.
+// persistent backend the mutation writes O(log n) nodes — copies of
+// those a snapshot handle may share, which stay untouched — and swaps
+// the shard's root.
 //
 //reschedvet:holds bookShard.mu
 func (b *Book) shardReserveLocked(i int, start, end model.Time, procs int) error {
@@ -500,13 +507,24 @@ func (b *Book) rollbackLocked(applied []appliedPiece) {
 	}
 }
 
+// reservationID renders the n-th reservation's ID — fmt's "r%06d" —
+// in one allocation, the string's own.
+func reservationID(n uint64) string {
+	var buf [24]byte
+	id := append(buf[:0], 'r')
+	for pad := uint64(100_000); pad > n && pad > 1; pad /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendUint(id, n, 10))
+}
+
 // newRowLocked files the ledger row for a booked request in the shard
 // owning its start; the shard's lock must be held.
 //
 //reschedvet:holds bookShard.mu
 func (b *Book) newRowLocked(req Request) *Reservation {
 	r := &Reservation{
-		ID:     fmt.Sprintf("r%06d", b.nextID.Add(1)),
+		ID:     reservationID(b.nextID.Add(1)),
 		Start:  req.Start,
 		End:    req.End,
 		Procs:  req.Procs,
@@ -584,7 +602,9 @@ func (b *Book) Commit(snap Snapshot, reqs []Request) ([]Reservation, error) {
 			return nil, fmt.Errorf("%w: computed at version %d, book at %d", ErrStale, snap.Version, b.version.Load())
 		}
 	}
-	var applied []appliedPiece
+	// Room for one piece per request and one crossing of each locked
+	// boundary; append grows it when more requests straddle shards.
+	applied := make([]appliedPiece, 0, len(reqs)+hi-lo)
 	for i, req := range reqs {
 		var err error
 		applied, err = b.applyLocked(req, applied)

@@ -143,3 +143,30 @@ func BenchmarkTransact1k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCommitRelease50 measures the book's share of one committing
+// schedule request as RESSCHED issues it — a snapshot, one Commit of
+// 50 requests (a reservation per task), then 50 Release calls, one per
+// ID — on the 1k book. The snapshot ends the shard's edit; the 100
+// writes after it share the next one.
+func BenchmarkCommitRelease50(b *testing.B) {
+	book := bench1kBook(b)
+	reqs := make([]Request, 50)
+	for i := range reqs {
+		start := model.Time(2000 + 97*i)
+		reqs[i] = Request{Start: start, End: start + 300, Procs: 1 + i%3}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := book.Commit(book.Snapshot(), reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range out {
+			if err := book.Release(r.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

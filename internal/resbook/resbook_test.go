@@ -3,6 +3,7 @@ package resbook
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"resched/internal/model"
@@ -262,5 +263,20 @@ func TestReserveValidation(t *testing.T) {
 	}
 	if b.Version() != 0 {
 		t.Errorf("rejected reserves bumped version to %d", b.Version())
+	}
+}
+
+// TestReservationIDFormat pins the hand-rolled ID rendering to the
+// fmt verb it replaced: six digits zero-padded, wider past 999999.
+func TestReservationIDFormat(t *testing.T) {
+	for n, want := range map[uint64]string{1: "r000001", 999_999: "r999999", 1_000_000: "r1000000"} {
+		if got := reservationID(n); got != want {
+			t.Errorf("reservationID(%d) = %q, want %q", n, got, want)
+		}
+	}
+	for _, n := range []uint64{0, 9, 10, 99_999, 100_000, 123_456, 1<<64 - 1} {
+		if got, want := reservationID(n), fmt.Sprintf("r%06d", n); got != want {
+			t.Errorf("reservationID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
