@@ -16,14 +16,14 @@ BENCH_PKGS ?= ./internal/cpa ./internal/profile ./internal/server ./internal/res
 # default; override either variable to target another file, e.g.
 #   make bench BENCH_PR=PR4
 #   make bench BENCH_OUT=/tmp/scratch.json
-BENCH_PR ?= PR17
+BENCH_PR ?= PR18
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 BENCH_LABEL ?= optimized
 
 # bench-compare gates the serving hot path against this committed
 # baseline: the named benchmark prefixes may regress neither ns/op nor
 # allocs/op by more than BENCH_THRESHOLD percent.
-BENCH_BASE ?= BENCH_PR10.json
+BENCH_BASE ?= BENCH_PR17.json
 BENCH_THRESHOLD ?= 15
 BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
 
@@ -67,7 +67,7 @@ test:
 # one word, the edit token, that Clone writes under a shard's read
 # lock. race-all is the full-tree sweep for slower, occasional use.
 race:
-	$(GO) test -race ./internal/profile/... ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/coalesce/... ./internal/analysis/...
+	$(GO) test -race ./internal/profile/... ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/analysis/...
 
 # replay-smoke drives a short canned trace through the online
 # lifecycle engine under the race detector: a capacity-constrained

@@ -23,18 +23,9 @@
 // -resv, because seeded reservations have no owning jobs for the
 // engine to activate or release.
 //
-// With -coalesce-window the daemon transparently batches concurrent
-// POST /v1/schedule requests arriving within the window onto one book
-// snapshot and one multi-job optimistic commit (sealed early at
-// -coalesce-batch requests); callers see the same responses they
-// would get unbatched. -cpa-workers fans the CPA allocation phase of
-// each computation across goroutines for wide DAGs, bit-identically
-// to the serial path.
-//
 // Examples:
 //
 //	reschedd -addr :8080 -procs 128
-//	reschedd -addr :8080 -coalesce-window 2ms -cpa-workers 4
 //	reschedd -addr :8080 -resv resv.json -workers 8 -log json
 //	reschedd -addr :8080 -shards 8 -epoch 86400
 //	reschedd -addr :8080 -pprof-addr localhost:6060
@@ -89,17 +80,7 @@ func run() error {
 	backfill := flag.Bool("backfill", true, "online engine: backfill queued jobs under the activation guardrail (requires -online)")
 	starveAttempts := flag.Int("starve-attempts", 8, "online engine: failed placement passes before a queued job gets an advance reservation, <=0 disables (requires -online)")
 	starveAge := flag.Int64("starve-age", int64(15*model.Minute), "online engine: queue age in seconds before a queued job gets an advance reservation, <=0 disables (requires -online)")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "coalesce concurrent /v1/schedule requests arriving within this window onto one snapshot and commit (0 disables)")
-	coalesceBatch := flag.Int("coalesce-batch", 16, "seal a coalesced group early at this many requests (used with -coalesce-window)")
-	cpaWorkers := flag.Int("cpa-workers", 1, "goroutines per CPA allocation phase for wide DAGs (bit-identical to serial; 1 disables)")
 	flag.Parse()
-
-	if *coalesceBatch <= 0 {
-		return fmt.Errorf("-coalesce-batch %d: must be positive", *coalesceBatch)
-	}
-	if *cpaWorkers <= 0 {
-		return fmt.Errorf("-cpa-workers %d: must be positive", *cpaWorkers)
-	}
 
 	if err := validateOnlineFlags(flag.CommandLine, *online); err != nil {
 		return err
@@ -146,16 +127,13 @@ func run() error {
 	}
 
 	srv, err := server.New(server.Config{
-		Book:             book,
-		Workers:          *workers,
-		Timeout:          *timeout,
-		MaxBody:          *maxBody,
-		MaxRetries:       *retries,
-		Logger:           log,
-		Engine:           eng,
-		CoalesceWindow:   *coalesceWindow,
-		CoalesceMaxBatch: *coalesceBatch,
-		CPAWorkers:       *cpaWorkers,
+		Book:       book,
+		Workers:    *workers,
+		Timeout:    *timeout,
+		MaxBody:    *maxBody,
+		MaxRetries: *retries,
+		Logger:     log,
+		Engine:     eng,
 	})
 	if err != nil {
 		return err
@@ -227,9 +205,6 @@ func run() error {
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	// With the listener drained, no new coalesce groups can form; serve
-	// whatever is still grouped and join the leaders.
-	srv.Close()
 	if ps != nil {
 		if err := ps.Shutdown(shutdownCtx); err != nil {
 			return fmt.Errorf("pprof shutdown: %w", err)

@@ -26,7 +26,7 @@
 // # Checks
 //
 // In the checked packages (the serving tree: resbook, server,
-// lifecycle, coalesce, multicluster), three checks run per function:
+// lifecycle), three checks run per function:
 //
 //   - a forward may-closed dataflow over the PR 4 CFG (union at joins,
 //     defer and go bodies excluded from sequential flow) flags close
@@ -62,11 +62,9 @@ import (
 // CheckedPackages are where the channel-lifecycle checks run. Fact
 // inference runs module-wide regardless.
 var CheckedPackages = map[string]bool{
-	"resched/internal/resbook":      true,
-	"resched/internal/server":       true,
-	"resched/internal/lifecycle":    true,
-	"resched/internal/coalesce":     true,
-	"resched/internal/multicluster": true,
+	"resched/internal/resbook":   true,
+	"resched/internal/server":    true,
+	"resched/internal/lifecycle": true,
 }
 
 // MayClose lists the channel identities a function may close, directly

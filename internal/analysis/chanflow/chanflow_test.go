@@ -9,11 +9,10 @@ import (
 
 func TestChanFlow(t *testing.T) {
 	// resbook first so its closes-contract facts are visible when the
-	// server fixture (its importer) is judged; lifecycle and coalesce
-	// are independent.
+	// server fixture (its importer) is judged; lifecycle is
+	// independent.
 	analysistest.Run(t, "testdata", chanflow.Analyzer,
 		"resched/internal/resbook",
 		"resched/internal/server",
-		"resched/internal/lifecycle",
-		"resched/internal/coalesce")
+		"resched/internal/lifecycle")
 }

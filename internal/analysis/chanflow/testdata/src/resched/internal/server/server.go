@@ -1,5 +1,6 @@
 // Package server exercises chanflow across the package boundary (the
-// feed's closes contract) and the worker-pool param-fact composition.
+// feed's closes contract), the same-package close fact inferred from a
+// method body, and the worker-pool param-fact composition.
 package server
 
 import "resched/internal/resbook"
@@ -57,4 +58,59 @@ func branchClose(ok bool) {
 		return
 	}
 	close(done)
+}
+
+type result struct {
+	v   int
+	err error
+}
+
+// flight is one computation several callers wait on; done broadcasts
+// settlement.
+type flight struct {
+	done chan struct{}
+	res  result
+}
+
+// finish publishes the result and releases every waiter. Its close is
+// in plain sight, so the MayClose fact is inferred, not declared.
+func (f *flight) finish(r result) {
+	f.res = r
+	close(f.done)
+}
+
+// finishTwice is the double-settle bug: finish already closed done.
+func (f *flight) finishTwice(r result) {
+	f.finish(r)
+	close(f.done) // want "double close of server.flight.done \\(closed by finish\\)"
+}
+
+// signalAfterFinish sends on the broadcast channel after settlement
+// may have closed it.
+func (f *flight) signalAfterFinish(r result) {
+	f.finish(r)
+	f.done <- struct{}{} // want "send on possibly-closed channel server.flight.done"
+}
+
+// group delivers per-waiter results on owned buffered channels.
+type group struct {
+	waiters []chan result
+}
+
+// deliver sends exactly once per waiter and closes each channel; the
+// range variable rebinds every iteration, so the close of one waiter's
+// channel does not taint the next send (negative).
+func (g *group) deliver(r result) {
+	for _, ch := range g.waiters {
+		ch <- r
+		close(ch)
+	}
+}
+
+// join registers a buffered per-waiter channel; it escapes into the
+// registry, so the orphan check stays away (negative).
+func (g *group) join() chan result {
+	ch := make(chan result, 1)
+	g.waiters = append(g.waiters, ch)
+	return ch
 }

@@ -3,10 +3,9 @@
 //
 //	//reschedvet:hotpath
 //
-// — the serial CPA scans, the treap descents, the binary codec
-// encode, the coalescing leader loop — is checked for the constructs
-// that introduce per-call heap allocation, so the alloc wins of PRs 2
-// and 7 cannot regress silently:
+// — the CPA scans, the treap descents, the binary codec encode — is
+// checked for the constructs that introduce per-call heap allocation,
+// so the alloc wins of PRs 2 and 7 cannot regress silently:
 //
 //   - slice and map composite literals, and &T{} (escaping composite);
 //   - make(map) and make(chan) — make([]T, n, c) is allowed, since a

@@ -67,11 +67,9 @@ import (
 // inferred module-wide regardless, so serving packages see the
 // blocking behavior of everything they import.
 var CheckedPackages = map[string]bool{
-	"resched/internal/resbook":      true,
-	"resched/internal/server":       true,
-	"resched/internal/lifecycle":    true,
-	"resched/internal/coalesce":     true,
-	"resched/internal/multicluster": true,
+	"resched/internal/resbook":   true,
+	"resched/internal/server":    true,
+	"resched/internal/lifecycle": true,
 }
 
 // MayBlock marks a function that can wait: it performs a blocking

@@ -90,6 +90,47 @@ func literalCallingJoined(ctx context.Context) {
 	}()
 }
 
+// pool launches same-package workers whose only join is the
+// WaitGroup on their receiver.
+type pool struct {
+	mu sync.Mutex
+	wg sync.WaitGroup
+}
+
+// serve is joined to any launch under a matching Add/Wait by its
+// deferred Done — an inferred same-package JoinsWaitGroup fact.
+func (p *pool) serve(job int) {
+	defer p.wg.Done()
+	_ = job
+}
+
+// Add before the launch, both under a held mutex; Wait in close.
+func (p *pool) submit(job int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wg.Add(1)
+	go p.serve(job)
+}
+
+func (p *pool) close() { p.wg.Wait() }
+
+// The watcher observes every waiter's Done and bails out when its own
+// context finishes first: two contexts, both bounding the literal.
+func (p *pool) watch(ctx context.Context, cancel context.CancelFunc, waiters []context.Context) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for _, w := range waiters {
+			select {
+			case <-w.Done():
+			case <-ctx.Done():
+				return
+			}
+		}
+		cancel()
+	}()
+}
+
 func ignoredLaunch() {
 	go func() { //reschedvet:ignore wgleak intentionally leaked in fixture
 		for {

@@ -29,13 +29,11 @@ import (
 // CheckedPackages are where goroutine launches are judged. Fact
 // inference runs module-wide regardless.
 var CheckedPackages = map[string]bool{
-	"resched/internal/server":       true,
-	"resched/internal/resbook":      true,
-	"resched/internal/sim":          true,
-	"resched/internal/lifecycle":    true,
-	"resched/internal/coalesce":     true,
-	"resched/internal/multicluster": true,
-	"resched/cmd/reschedd":          true,
+	"resched/internal/server":    true,
+	"resched/internal/resbook":   true,
+	"resched/internal/sim":       true,
+	"resched/internal/lifecycle": true,
+	"resched/cmd/reschedd":       true,
 }
 
 // fireAndForgetDirective in a function's doc comment declares its

@@ -12,6 +12,5 @@ func TestWgLeak(t *testing.T) {
 	// analyzed for facts only; the launch sites under test are in the
 	// server and lifecycle packages.
 	analysistest.Run(t, "testdata", wgleak.Analyzer,
-		"resched/internal/server", "resched/internal/lifecycle",
-		"resched/internal/coalesce")
+		"resched/internal/server", "resched/internal/lifecycle")
 }

@@ -246,7 +246,6 @@ type Scheduler struct {
 	g          *dag.Graph
 	stop       cpa.StopRule
 	allocCache map[int][]int
-	cpaWorkers int
 
 	// Scratch buffers reused across calls, keeping the per-task
 	// candidate scans and the per-call working profile allocation-free.
@@ -278,19 +277,13 @@ func NewSchedulerRule(g *dag.Graph, rule cpa.StopRule) (*Scheduler, error) {
 // Graph returns the application DAG the scheduler was built for.
 func (s *Scheduler) Graph() *dag.Graph { return s.g }
 
-// SetCPAWorkers fans the CPA allocation phase's level sweeps and
-// candidate scans across up to n goroutines (0 or 1 keeps it serial).
-// Safe at any point because the parallel path is bit-identical to the
-// serial one — cached allocations cannot diverge from later ones.
-func (s *Scheduler) SetCPAWorkers(n int) { s.cpaWorkers = n }
-
 // cpaAlloc returns (and caches) the CPA allocation for a cluster of
 // q processors.
 func (s *Scheduler) cpaAlloc(q int) ([]int, error) {
 	if a, ok := s.allocCache[q]; ok {
 		return a, nil
 	}
-	a, err := cpa.AllocateWorkers(s.g, q, s.stop, s.cpaWorkers)
+	a, err := cpa.Allocate(s.g, q, s.stop)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func Allocate(g *dag.Graph, p int, rule StopRule) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newAllocStatePool(g, topo, p, rule, nil)
+	st := newAllocState(g, topo, p, rule)
 	for {
 		cp := st.criticalPath()
 		if !(cp > st.area/float64(p)) {
@@ -152,16 +152,9 @@ type allocState struct {
 	bucketCnt []int32 // live entries per depth, len maxDepth+1
 	inDirty   []bool
 	pending   int // total tasks currently marked dirty
-
-	// Parallel-scan state (nil pool means serial; see parallel.go).
-	pool     *parPool
-	byDepth  [][]int32 // all tasks grouped by depth, for the level sweeps
-	partCP   []float64 // per-chunk T_CP partials
-	partIdx  []int     // per-chunk candidate partials
-	partGain []float64
 }
 
-func newAllocStatePool(g *dag.Graph, topo []int, p int, rule StopRule, pool *parPool) *allocState {
+func newAllocState(g *dag.Graph, topo []int, p int, rule StopRule) *allocState {
 	n := g.NumTasks()
 	st := &allocState{
 		g:       g,
@@ -172,34 +165,15 @@ func newAllocStatePool(g *dag.Graph, topo []int, p int, rule StopRule, pool *par
 		tl:      make([]float64, n),
 		maxSucc: make([]float64, n),
 		gain:    make([]float64, n),
-		pool:    pool,
 	}
-	if pool != nil {
-		pool.run(n, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				task := g.Task(i)
-				st.exec[i] = model.ExecSeconds(task.Seq, task.Alpha, 1)
-				st.gain[i] = model.Gain(task.Seq, task.Alpha, 1)
-				st.caps[i] = p
-				if rule == StopStringent {
-					st.caps[i] = allocCap(task.Alpha, p)
-				}
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			task := g.Task(i)
-			st.exec[i] = model.ExecSeconds(task.Seq, task.Alpha, 1)
-			st.gain[i] = model.Gain(task.Seq, task.Alpha, 1)
-			st.caps[i] = p
-			if rule == StopStringent {
-				st.caps[i] = allocCap(task.Alpha, p)
-			}
-		}
-	}
-	// The area sum stays serial in index order: float addition is not
-	// associative, and the serial order is the reference.
 	for i := 0; i < n; i++ {
+		task := g.Task(i)
+		st.exec[i] = model.ExecSeconds(task.Seq, task.Alpha, 1)
+		st.gain[i] = model.Gain(task.Seq, task.Alpha, 1)
+		st.caps[i] = p
+		if rule == StopStringent {
+			st.caps[i] = allocCap(task.Alpha, p)
+		}
 		st.area += st.exec[i] // alloc is uniformly 1
 	}
 
@@ -249,17 +223,6 @@ func newAllocStatePool(g *dag.Graph, topo []int, p int, rule StopRule, pool *par
 
 	// Full initial level sweeps; every later iteration only repairs
 	// the sub-DAG reachable from the one task that changed.
-	if pool != nil {
-		st.byDepth = make([][]int32, maxDepth+1)
-		for _, t := range topo {
-			st.byDepth[st.depth[t]] = append(st.byDepth[st.depth[t]], int32(t))
-		}
-		st.partCP = make([]float64, pool.workers)
-		st.partIdx = make([]int, pool.workers)
-		st.partGain = make([]float64, pool.workers)
-		st.parallelInitSweeps()
-		return st
-	}
 	for i := n - 1; i >= 0; i-- {
 		t := topo[i]
 		var best float64
@@ -297,8 +260,7 @@ func (st *allocState) mark(t int32) {
 
 // criticalPath returns T_CP, the largest bottom level. It must stay a
 // leaf loop: it runs once per refinement iteration and the inliner
-// keeps it inside Allocate's loop (the parallel path dispatches to
-// parallelCriticalPath in AllocateWorkers' own loop instead).
+// keeps it inside Allocate's loop.
 //
 //reschedvet:hotpath
 func (st *allocState) criticalPath() float64 {

@@ -69,25 +69,3 @@ func BenchmarkListSchedule(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAllocateParallel puts the bounded worker pool against the
-// serial path on a DAG wide enough to clear parallelThreshold — the
-// regime AllocateWorkers exists for. w=1 is the serial baseline (the
-// exact Allocate code path), so the sub-benchmark ratio is the
-// parallel speedup at provably unchanged output.
-func BenchmarkAllocateParallel(b *testing.B) {
-	spec := daggen.Default()
-	spec.N = 4096
-	spec.Width = 0.9
-	g := daggen.MustGenerate(spec, rand.New(rand.NewSource(5)))
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := AllocateWorkers(g, 1152, StopStringent, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

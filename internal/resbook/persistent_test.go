@@ -290,8 +290,8 @@ func snapshotIsolationStorm(t *testing.T, snapshotters int) {
 
 // TestSnapshotHandleStagingIsPrivate checks the serving-path use of a
 // persistent snapshot: staging trial reservations on the handle (as
-// the batch and coalesced paths do) never leaks into the live book or
-// into other snapshots.
+// the batch path does) never leaks into the live book or into other
+// snapshots.
 func TestSnapshotHandleStagingIsPrivate(t *testing.T) {
 	book, err := NewSharded(32, 0, 4, model.Hour)
 	if err != nil {

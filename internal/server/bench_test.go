@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
-	"time"
 
 	"resched/internal/api"
 	"resched/internal/daggen"
@@ -89,12 +88,9 @@ func throughputBook(b *testing.B) *resbook.Book {
 
 // BenchmarkScheduleThroughput measures end-to-end schedules per
 // second per core under concurrent committing clients against a
-// loaded book. The modes span the serving-path upgrade: the
-// pre-existing path (every request its own snapshot and commit, JSON
-// both ways), the binary codec alone, and the full wire-speed path —
-// coalesced groups sharing one snapshot and one multi-job commit,
-// binary framing. Each client releases what it booked so the book
-// holds its steady-state size instead of growing with b.N.
+// loaded book, every request its own snapshot and commit, once per
+// wire codec. Each client releases what it booked so the book holds
+// its steady-state size instead of growing with b.N.
 func BenchmarkScheduleThroughput(b *testing.B) {
 	spec := daggen.Default()
 	spec.N = 6
@@ -112,28 +108,19 @@ func BenchmarkScheduleThroughput(b *testing.B) {
 
 	const clients = 8
 	modes := []struct {
-		name   string
-		window time.Duration
-		bin    bool
+		name string
+		bin  bool
 	}{
-		{"direct-json", 0, false},
-		{"direct-bin", 0, true},
-		{"coalesced-bin", 2 * time.Millisecond, true},
+		{"direct-json", false},
+		{"direct-bin", true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			book := throughputBook(b)
-			srv, err := New(Config{
-				Book:             book,
-				Workers:          clients,
-				MaxRetries:       256,
-				CoalesceWindow:   m.window,
-				CoalesceMaxBatch: clients,
-			})
+			srv, err := New(Config{Book: book, Workers: clients, MaxRetries: 256})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer srv.Close()
 			h := srv.Handler()
 			body, ct := jsonBody, "application/json"
 			if m.bin {
@@ -178,11 +165,6 @@ func BenchmarkScheduleThroughput(b *testing.B) {
 			b.StopTimer()
 			cores := float64(runtime.GOMAXPROCS(0))
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/cores, "sched/s/core")
-			// The amortization factor and conflict churn explain the
-			// sched/s/core differences between modes.
-			if groups := srv.metrics.coalGroups.Load(); groups > 0 {
-				b.ReportMetric(float64(b.N)/float64(groups), "batch/group")
-			}
 			b.ReportMetric(float64(srv.metrics.retries.Load())/float64(b.N), "retries/op")
 		})
 	}

@@ -52,8 +52,8 @@ func (s *Server) withAvail(av profile.Intervals, fn func(profile.Intervals)) {
 	fn(av)
 }
 
-// buildScheduleResponse assembles the response shared by the solo,
-// batch, and coalesced serving paths.
+// buildScheduleResponse assembles the response shared by the solo and
+// batch serving paths.
 func buildScheduleResponse(algo string, version uint64, sched *core.Schedule, deadline model.Time, retries int) api.ScheduleResponse {
 	resp := api.ScheduleResponse{
 		Algorithm:  algo,
@@ -153,9 +153,7 @@ func (s *Server) runCommitLoop(w http.ResponseWriter, r *http.Request, bin bool,
 
 // handleSchedule serves POST /v1/schedule. Parsing and validation go
 // through parseBatchJob — the same machinery as /v1/schedule/batch —
-// so a coalesced request sees byte-identical parse errors and, because
-// parsing happens before the group forms, a bad job 400s alone without
-// touching its groupmates.
+// so the two endpoints report byte-identical parse errors.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	bin := wantsBinary(r)
 	var req api.ScheduleRequest
@@ -165,10 +163,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	job, err := s.parseBatchJob(req)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, api.Error{Error: err.Error()})
-		return
-	}
-	if s.coal != nil {
-		s.scheduleCoalesced(w, r, job, req.Commit, bin)
 		return
 	}
 	if !s.acquireWorker(w, r) {
@@ -221,7 +215,6 @@ func (s *Server) parseBatchJob(req api.ScheduleRequest) (batchJob, error) {
 	if err != nil {
 		return batchJob{}, err
 	}
-	sch.SetCPAWorkers(s.cfg.CPAWorkers)
 	return batchJob{sch: sch, bl: bl, bd: bd, now: now, q: req.Q,
 		algo: fmt.Sprintf("%s_%s", bl, bd)}, nil
 }
@@ -286,18 +279,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 					failed = true
 					return
 				}
-				jr := api.ScheduleResponse{
-					Algorithm:  job.algo,
-					Version:    snap.Version,
-					Now:        sched.Now,
-					Completion: sched.Completion(),
-					Turnaround: sched.Turnaround(),
-					CPUHours:   sched.CPUHours(),
-					Tasks:      make([]api.Placement, 0, len(sched.Tasks)),
-				}
-				for t, pl := range sched.Tasks {
-					jr.Tasks = append(jr.Tasks, api.Placement{Task: t, Procs: pl.Procs, Start: pl.Start, End: pl.End})
-				}
+				jr := buildScheduleResponse(job.algo, snap.Version, sched, 0, retries)
 				// Later jobs must see this job's placements: reserve
 				// them into the working snapshot before moving on.
 				for _, pl := range sched.Tasks {
@@ -392,7 +374,6 @@ func (s *Server) handleDeadline(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, api.Error{Error: err.Error()})
 		return
 	}
-	sch.SetCPAWorkers(s.cfg.CPAWorkers)
 	if !s.acquireWorker(w, r) {
 		return
 	}

@@ -31,13 +31,6 @@ type metrics struct {
 	codecJSON   atomic.Uint64
 	codecBinary atomic.Uint64
 
-	// coalGroups counts sealed coalesced groups; coalHist buckets
-	// their sizes (1, 2, ≤4, ≤8, ≤16, >16) so the batch-size
-	// distribution — the amortization factor — is visible in
-	// /debug/metrics.
-	coalGroups atomic.Uint64
-	coalHist   [6]atomic.Uint64
-
 	mu sync.Mutex
 	// lat is the latency ring; n counts total latencies observed.
 	lat [latWindow]time.Duration //reschedvet:guardedby mu
@@ -49,31 +42,6 @@ func (m *metrics) observe(d time.Duration) {
 	m.lat[m.n%latWindow] = d
 	m.n++
 	m.mu.Unlock()
-}
-
-// coalesceBuckets are the upper bounds of the batch-size histogram,
-// with the last bucket open-ended.
-var coalesceBuckets = [6]string{"1", "2", "le4", "le8", "le16", "gt16"}
-
-// observeGroup records one sealed coalesced group of the given size.
-func (m *metrics) observeGroup(size int) {
-	m.coalGroups.Add(1)
-	var b int
-	switch {
-	case size <= 1:
-		b = 0
-	case size == 2:
-		b = 1
-	case size <= 4:
-		b = 2
-	case size <= 8:
-		b = 3
-	case size <= 16:
-		b = 4
-	default:
-		b = 5
-	}
-	m.coalHist[b].Add(1)
 }
 
 func (m *metrics) countStatus(code int) {
@@ -130,10 +98,6 @@ type metricsResponse struct {
 	// request bodies by wire codec.
 	CodecJSONRequests   uint64 `json:"codec_json_requests"`
 	CodecBinaryRequests uint64 `json:"codec_binary_requests"`
-	// CoalescedGroups counts sealed coalesce groups; the histogram
-	// buckets their sizes (keys 1, 2, le4, le8, le16, gt16).
-	CoalescedGroups   uint64            `json:"coalesced_groups"`
-	CoalesceBatchHist map[string]uint64 `json:"coalesce_batch_hist"`
 	// Engine carries the online lifecycle engine's counters
 	// (queue depth, activations, backfills, ...); absent when the
 	// daemon is not running -online.
@@ -142,10 +106,6 @@ type metricsResponse struct {
 
 func (m *metrics) snapshot(bookVersion uint64) metricsResponse {
 	p50, p99, n := m.quantiles()
-	hist := make(map[string]uint64, len(coalesceBuckets))
-	for i, name := range coalesceBuckets {
-		hist[name] = m.coalHist[i].Load()
-	}
 	return metricsResponse{
 		Requests:            m.requests.Load(),
 		Status2xx:           m.status2xx.Load(),
@@ -161,7 +121,5 @@ func (m *metrics) snapshot(bookVersion uint64) metricsResponse {
 		BookVersion:         bookVersion,
 		CodecJSONRequests:   m.codecJSON.Load(),
 		CodecBinaryRequests: m.codecBinary.Load(),
-		CoalescedGroups:     m.coalGroups.Load(),
-		CoalesceBatchHist:   hist,
 	}
 }

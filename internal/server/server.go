@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"resched/internal/api"
-	"resched/internal/coalesce"
 	"resched/internal/lifecycle"
 	"resched/internal/profile"
 	"resched/internal/resbook"
@@ -53,20 +52,6 @@ type Config struct {
 	// surface. Nil (the default, daemons not started with -online)
 	// serves those routes as 503.
 	Engine *lifecycle.Engine
-	// CoalesceWindow enables transparent coalescing of POST
-	// /v1/schedule: concurrent requests arriving within the window are
-	// served from one book snapshot and booked through one multi-job
-	// optimistic commit (see internal/coalesce). Zero — the default —
-	// disables coalescing; every request runs its own commit loop.
-	CoalesceWindow time.Duration
-	// CoalesceMaxBatch seals a coalesced group early at this many
-	// requests (default 16). Ignored unless CoalesceWindow is set.
-	CoalesceMaxBatch int
-	// CPAWorkers fans the CPA allocation phase across up to this many
-	// goroutines per scheduling computation for DAGs wide enough to
-	// profit (default 1, serial). The parallel path is bit-identical
-	// to the serial one.
-	CPAWorkers int
 }
 
 // Server serves the reschedd API. Construct with New.
@@ -98,10 +83,6 @@ type Server struct {
 	// enforces: get, defer put, never escape.
 	encPool sync.Pool
 	binPool sync.Pool
-
-	// coal batches concurrent /v1/schedule calls onto one snapshot
-	// epoch; nil when Config.CoalesceWindow is zero.
-	coal *coalesce.Coalescer
 
 	// beforeCommit, when non-nil, runs between computing a schedule
 	// and committing it. Tests use it to force version conflicts
@@ -146,18 +127,6 @@ func New(cfg Config) (*Server, error) {
 		return e
 	}
 	s.binPool.New = func() any { return new([]byte) }
-	if cfg.CoalesceWindow > 0 {
-		coal, err := coalesce.New(coalesce.Config{
-			Window:   cfg.CoalesceWindow,
-			MaxBatch: cfg.CoalesceMaxBatch,
-			Run:      s.runCoalescedGroup,
-			OnGroup:  s.metrics.observeGroup,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.coal = coal
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	mux.HandleFunc("POST /v1/schedule/batch", s.handleScheduleBatch)
@@ -186,16 +155,6 @@ func New(cfg Config) (*Server, error) {
 // Book returns the reservation book the server mutates, so embedding
 // processes (and tests) can inspect it.
 func (s *Server) Book() *resbook.Book { return s.book }
-
-// Close drains the request coalescer: in-flight groups are served,
-// future coalesced requests are shed with 503. Call it after the HTTP
-// server has stopped accepting requests; a server without coalescing
-// needs no Close.
-func (s *Server) Close() {
-	if s.coal != nil {
-		s.coal.Close()
-	}
-}
 
 // Handler returns the fully wrapped http.Handler: routing inside
 // request-scoped timeout, metrics, and logging.
