@@ -16,16 +16,16 @@ BENCH_PKGS ?= ./internal/cpa ./internal/profile ./internal/server ./internal/res
 # default; override either variable to target another file, e.g.
 #   make bench BENCH_PR=PR4
 #   make bench BENCH_OUT=/tmp/scratch.json
-BENCH_PR ?= PR18
+BENCH_PR ?= PR24
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 BENCH_LABEL ?= optimized
 
 # bench-compare gates the serving hot path against this committed
 # baseline: the named benchmark prefixes may regress neither ns/op nor
 # allocs/op by more than BENCH_THRESHOLD percent.
-BENCH_BASE ?= BENCH_PR17.json
+BENCH_BASE ?= BENCH_PR18.json
 BENCH_THRESHOLD ?= 15
-BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
+BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/resbook.BenchmarkEarliestPendingActivation,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
 
 # How long each fuzz target runs in fuzz-smoke.
 FUZZTIME ?= 10s

@@ -5,6 +5,9 @@ package lifecycle
 //
 //  1. Guardrail: no backfilled job's completion ever crosses the
 //     activation bound it was admitted under (End <= GuardBound).
+//     An oracle run (guardOracleRun) also recomputes every bound from
+//     the ledger rows, as EarliestPendingActivation did before the book
+//     indexed its Pending starts, and must reproduce every job record.
 //
 //  2. Flat-profile replay: every reservation window the engine booked
 //     over the whole run must co-exist in a fresh flat profile. Any
@@ -44,6 +47,95 @@ func randomTrace(rng *rand.Rand, capacity, n int) []Arrival {
 	return trace
 }
 
+// guardOracleRun replays the trace on a fresh engine and book, one
+// AdvanceTo at a time in Replay's order, and checks the GuardBound of
+// every job a pass places against a bound scanned from the ledger:
+// Book.List reads the rows, not the Pending index, so this is the old
+// O(R) answer computed outside the book. It returns the final job
+// table for comparison with the Replay run's.
+func guardOracleRun(t *testing.T, seed int64, cfg Config, trace []Arrival) []Job {
+	t.Helper()
+	book, err := resbook.NewSharded(cfg.Book.Capacity(), 0, 8, model.Hour)
+	if err != nil {
+		t.Fatalf("seed %d: NewSharded: %v", seed, err)
+	}
+	cfg.Book = book
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("seed %d: New: %v", seed, err)
+	}
+	ctx := context.Background()
+	advance := func(at model.Time) {
+		at = max(at, e.Now())
+		// The engine's own reservations are the only Pending rows, and
+		// those due by `at` are activated before the pass looks.
+		guard := model.Infinity
+		for _, r := range book.List() {
+			if r.Status == resbook.Pending && r.Start > at {
+				guard = min(guard, r.Start)
+			}
+		}
+		before := e.Jobs()
+		if err := e.AdvanceTo(ctx, at); err != nil {
+			t.Fatalf("seed %d: AdvanceTo(%d): %v", seed, at, err)
+		}
+		// A bound that is too early only ever shows as a backfill that
+		// did not happen, which no job record can tell; the book's own
+		// audit of the index can, mid-run, before releases tidy it.
+		if err := book.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: book invariants after AdvanceTo(%d): %v", seed, at, err)
+		}
+		// Jobs come back in queue order, the order the pass served them
+		// in, so a reservation booked for an earlier job already binds
+		// the later ones.
+		for i, j := range e.Jobs() {
+			if before[i].State != Queued || j.State == Queued {
+				continue
+			}
+			want := model.Infinity
+			switch {
+			case j.Starved:
+				guard = min(guard, j.Start)
+				continue
+			case j.Backfilled:
+				want = guard
+			}
+			if j.GuardBound != want {
+				t.Fatalf("seed %d: job %s placed at %d under bound %d, ledger scan says %d", seed, j.ID, at, j.GuardBound, want)
+			}
+		}
+	}
+	for i := 0; i < len(trace); {
+		at := trace[i].At
+		if et, ok := e.NextEvent(); ok && et < at {
+			at = et
+		}
+		advance(at)
+		first := i
+		for ; i < len(trace) && trace[i].At <= at; i++ {
+			if _, err := e.Submit(trace[i].Procs, trace[i].Dur); err != nil {
+				t.Fatalf("seed %d: arrival %d: %v", seed, i, err)
+			}
+		}
+		if i > first {
+			advance(at)
+		}
+	}
+	for step := 0; ; step++ {
+		if done, total := e.progress(); done == total {
+			return e.Jobs()
+		}
+		if step > len(trace)*drainGrace {
+			t.Fatalf("seed %d: oracle run does not drain", seed)
+		}
+		at, ok := e.NextEvent()
+		if !ok {
+			at = e.Now() + e.cfg.StarveAge
+		}
+		advance(at)
+	}
+}
+
 func TestBackfillGuardrailDifferential(t *testing.T) {
 	const (
 		capacity = 16
@@ -57,12 +149,13 @@ func TestBackfillGuardrailDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewSharded: %v", seed, err)
 		}
-		e, err := New(Config{
+		cfg := Config{
 			Book:           book,
 			Backfill:       true,
 			StarveAttempts: 4,
 			StarveAge:      120,
-		})
+		}
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
@@ -77,8 +170,13 @@ func TestBackfillGuardrailDifferential(t *testing.T) {
 		totalBackfills += rep.Backfills
 		totalStarved += rep.Starved
 
-		// Oracle 1: the guardrail property on every backfilled job.
-		for _, j := range e.Jobs() {
+		// Oracle 1: the guardrail property on every backfilled job, and
+		// the bound itself against the ledger-scan run's.
+		scanned := guardOracleRun(t, seed, cfg, trace)
+		for i, j := range e.Jobs() {
+			if j != scanned[i] {
+				t.Fatalf("seed %d: job record diverged from the oracle run:\n  replay %+v\n  oracle %+v", seed, j, scanned[i])
+			}
 			if j.State != Done {
 				t.Fatalf("seed %d: job %s finished %v, want Done", seed, j.ID, j.State)
 			}

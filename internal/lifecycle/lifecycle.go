@@ -46,10 +46,12 @@
 package lifecycle
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,18 +320,12 @@ func (e *Engine) Jobs() []Job {
 	for _, j := range e.jobs {
 		out = append(out, *j)
 	}
-	sortJobsByID(out)
+	// Shorter IDs first: past j999999 the zero padding runs out, and
+	// j1000000 must not sort before it.
+	slices.SortFunc(out, func(x, y Job) int {
+		return cmp.Or(cmp.Compare(len(x.ID), len(y.ID)), cmp.Compare(x.ID, y.ID))
+	})
 	return out
-}
-
-// sortJobsByID orders job copies by their zero-padded IDs, which is
-// submission order.
-func sortJobsByID(js []Job) {
-	for i := 1; i < len(js); i++ {
-		for k := i; k > 0 && js[k].ID < js[k-1].ID; k-- {
-			js[k], js[k-1] = js[k-1], js[k]
-		}
-	}
 }
 
 // Stats returns a snapshot of the engine counters.

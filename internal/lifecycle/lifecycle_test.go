@@ -228,6 +228,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestJobsOrderPastSixDigits: job IDs are zero-padded to six digits,
+// so a plain string sort files j1000000 before j999999; Jobs promises
+// submission order.
+func TestJobsOrderPastSixDigits(t *testing.T) {
+	e := newEngine(t, 8, Config{})
+	e.mu.Lock()
+	e.nextID = 999_997
+	e.mu.Unlock()
+	var want []string
+	for i := 0; i < 4; i++ {
+		want = append(want, mustSubmit(t, e, 1, 10).ID)
+	}
+	if want[1] != "j999999" || want[2] != "j1000000" {
+		t.Fatalf("submitted %v, want the run to cross j999999 -> j1000000", want)
+	}
+	for i, j := range e.Jobs() {
+		if j.ID != want[i] {
+			t.Fatalf("Jobs()[%d] = %s, want %s (submission order %v)", i, j.ID, want[i], want)
+		}
+	}
+}
+
 // TestForecastQueuedJob is the acceptance check for the forecast
 // surface: a queued job that cannot start now reports its earliest
 // feasible start and its processor deficit.

@@ -38,10 +38,11 @@
 package resbook
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -98,7 +99,10 @@ type Request struct {
 	Procs int
 }
 
-// Reservation is one booked reservation with its lifecycle state.
+// Reservation is one booked reservation with its lifecycle state. The
+// book allocates one per ledger row and keeps it forever, so the struct
+// stays in the 48-byte size class (TestReservationLayout): the Pending
+// index below points at rows and stores nothing in them.
 type Reservation struct {
 	ID     string
 	Start  model.Time
@@ -116,6 +120,11 @@ type Reservation struct {
 // Committing requires the stamps of every shard the commit touches to
 // still match Epochs. Version is the global mutation counter the
 // snapshot was taken at, reported in the API and in ErrStale messages.
+//
+// A snapshot taken with SnapshotInto may have Avail alias the caller's
+// dst, so it lives only as long as the caller leaves dst alone; the one
+// Transact hands its callback is of that kind and dies when the
+// callback returns.
 type Snapshot struct {
 	Version uint64
 	Epochs  []uint64
@@ -128,8 +137,8 @@ type Snapshot struct {
 // ledger rows of the reservations that start in it. Exactly one of
 // pprof (persistent backend, the default) and prof (flat oracle
 // backend) is non-nil, fixed at construction. stamp counts the
-// mutations that touched the shard; pprof, prof, res, and stamp are
-// guarded by mu — for pprof that guards the root-pointer swap a
+// mutations that touched the shard; pprof, prof, res, pending and stamp
+// are guarded by mu — for pprof that guards the root-pointer swap a
 // mutation publishes and the writes in place of its open edit; the
 // nodes behind a root a Snapshot has cloned are immutable (Clone, under
 // RLock, ends the edit) and safe to read lock-free through the handle.
@@ -142,6 +151,73 @@ type bookShard struct {
 	pprof *profile.PersistentProfile //reschedvet:guardedby mu
 	prof  *profile.Profile           //reschedvet:guardedby mu
 	res   map[string]*Reservation    //reschedvet:guardedby mu
+
+	// pending indexes the shard's Pending rows: a binary min-heap of
+	// ledger rows keyed by Start, so the backfill guardrail's "earliest
+	// Pending activation" is the top instead of a scan of res. Deletion
+	// is lazy. A row is pushed when it is filed and popped only once it
+	// is at the top and no longer Pending, which Activate and Release —
+	// the two writers that flip a status — see to before they unlock.
+	// Hence the invariant readers rely on (and CheckInvariants audits):
+	// the top is Pending or the heap is empty. Rows that left Pending
+	// deeper down wait their turn; each costs its pointer until then,
+	// and each row is pushed and popped at most once.
+	pending []*Reservation //reschedvet:guardedby mu
+}
+
+// pushPendingLocked adds a freshly filed Pending row to the shard's
+// index; the shard's lock must be held.
+//
+//reschedvet:holds mu
+func (sh *bookShard) pushPendingLocked(r *Reservation) {
+	h := append(sh.pending, r)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].Start <= r.Start {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = r
+	sh.pending = h
+}
+
+// settlePendingLocked restores the index invariant after a row of the
+// shard left Pending: it pops tops until one is Pending again. The
+// shard's lock must be held.
+//
+//reschedvet:holds mu
+func (sh *bookShard) settlePendingLocked() {
+	h := sh.pending
+	for len(h) > 0 && h[0].Status != Pending {
+		n := len(h) - 1
+		last := h[n]
+		h[n] = nil
+		h = h[:n]
+		if n == 0 {
+			break
+		}
+		// Sift the former last entry down from the vacated root.
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if child+1 < n && h[child+1].Start < h[child].Start {
+				child++
+			}
+			if last.Start <= h[child].Start {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
+	}
+	sh.pending = h
 }
 
 // Book is a concurrent, versioned reservation book. The zero value is
@@ -155,6 +231,12 @@ type Book struct {
 
 	version atomic.Uint64
 	nextID  atomic.Uint64
+
+	// scratch recycles the flat profiles Transact snapshots into, one
+	// per call in flight, so an attempt against a small schedule
+	// (SnapshotInto's flat arm) reuses backing arrays instead of
+	// growing fresh ones.
+	scratch sync.Pool
 }
 
 // New returns an empty single-shard book for a cluster of the given
@@ -202,6 +284,7 @@ func newSharded(capacity int, origin model.Time, nshards int, epoch model.Durati
 		persistent: persistent,
 		shards:     make([]bookShard, nshards),
 	}
+	b.scratch.New = func() any { return &profile.Profile{} }
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.start = origin + model.Time(i)*model.Time(epoch)
@@ -330,7 +413,9 @@ func (b *Book) Snapshot() Snapshot {
 }
 
 // SnapshotInto is Snapshot for callers that recycle flat profile
-// buffers (the serving layer pools them across requests). On the flat
+// buffers (the serving layer pools them across requests, Transact
+// across attempts and calls). The returned Avail may be dst itself, so
+// the snapshot is dead once dst is reused or handed back. On the flat
 // oracle backend the schedule is copied into dst, reusing its backing
 // arrays. On the persistent backend dst is used only when the schedule
 // is small (fewer than profile.AutoTreeThreshold segments, where the
@@ -519,7 +604,8 @@ func reservationID(n uint64) string {
 }
 
 // newRowLocked files the ledger row for a booked request in the shard
-// owning its start; the shard's lock must be held.
+// owning its start, and indexes it as Pending there; the shard's lock
+// must be held.
 //
 //reschedvet:holds bookShard.mu
 func (b *Book) newRowLocked(req Request) *Reservation {
@@ -530,7 +616,9 @@ func (b *Book) newRowLocked(req Request) *Reservation {
 		Procs:  req.Procs,
 		Status: Pending,
 	}
-	b.shards[b.shardFor(req.Start)].res[r.ID] = r
+	sh := &b.shards[b.shardFor(req.Start)]
+	sh.res[r.ID] = r
+	sh.pushPendingLocked(r)
 	return r
 }
 
@@ -638,7 +726,7 @@ func (b *Book) Get(id string) (Reservation, bool) {
 }
 
 // List returns copies of all reservations (including released ones),
-// ordered by ID.
+// in the order they were booked.
 func (b *Book) List() []Reservation {
 	var out []Reservation
 	for i := range b.shards {
@@ -649,7 +737,11 @@ func (b *Book) List() []Reservation {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	// Shorter IDs first: past r999999 the zero padding runs out, and
+	// r1000000 must not sort before it.
+	slices.SortFunc(out, func(x, y Reservation) int {
+		return cmp.Or(cmp.Compare(len(x.ID), len(y.ID)), cmp.Compare(x.ID, y.ID))
+	})
 	return out
 }
 
@@ -657,31 +749,23 @@ func (b *Book) List() []Reservation {
 // `after` that a Pending reservation activates. A Pending window whose
 // start has already passed is overdue and clamps to `after` itself.
 // ok is false when no reservation is Pending. Backfill schedulers use
-// this as the hard bound opportunistic placements must finish by.
+// this as the hard bound opportunistic placements must finish by. It
+// reads the top of each shard's Pending index — O(#shards), however
+// many rows the ledger holds.
 func (b *Book) EarliestPendingActivation(after model.Time) (at model.Time, ok bool) {
 	at = model.Infinity
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.res {
-			if r.Status != Pending {
-				continue
-			}
-			cand := r.Start
-			if cand < after {
-				cand = after
-			}
-			if cand < at {
-				at = cand
-				ok = true
-			}
+		if len(sh.pending) > 0 {
+			at, ok = min(at, sh.pending[0].Start), true
 		}
 		sh.mu.RUnlock()
 	}
 	if !ok {
 		return 0, false
 	}
-	return at, true
+	return max(at, after), true
 }
 
 // Activate confirms a Pending reservation. Activating an Active
@@ -701,6 +785,7 @@ func (b *Book) Activate(id string) error {
 		}
 		if r.Status == Pending {
 			r.Status = Active
+			sh.settlePendingLocked()
 			sh.stamp++
 			b.version.Add(1)
 		}
@@ -750,6 +835,7 @@ func (b *Book) Release(id string) error {
 		}
 	}
 	row.Status = Released
+	b.shards[home].settlePendingLocked()
 	b.bumpLocked(lo, hi)
 	return nil
 }
@@ -758,19 +844,26 @@ func (b *Book) Release(id string) error {
 // commit, retrying on ErrStale up to maxAttempts times. fn receives a
 // private snapshot and returns the reservation requests to commit
 // (returning an empty slice commits nothing but still validates the
-// snapshot). It reports the booked reservations and how many
-// version-conflict retries occurred. Any error from fn, from ctx, or
-// a non-stale commit failure aborts the loop.
+// snapshot). The snapshot is fn's only for the duration of the call:
+// snap.Avail may be a flat buffer the book recycles for the next
+// attempt and the next Transact, so fn may mutate it freely but must
+// not keep it, or anything aliasing it, once it returns (callers that
+// need a view to keep take their own Snapshot). It reports the booked
+// reservations and how many version-conflict retries occurred. Any
+// error from fn, from ctx, or a non-stale commit failure aborts the
+// loop.
 func (b *Book) Transact(ctx context.Context, maxAttempts int, fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error) {
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
+	prof := b.scratch.Get().(*profile.Profile)
+	defer b.scratch.Put(prof)
 	retries := 0
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, retries, err
 		}
-		snap := b.Snapshot()
+		snap := b.SnapshotInto(prof)
 		reqs, err := fn(snap)
 		if err != nil {
 			return nil, retries, err
@@ -787,15 +880,52 @@ func (b *Book) Transact(ctx context.Context, maxAttempts int, fn func(Snapshot) 
 	return nil, retries, fmt.Errorf("%w: gave up after %d attempts", ErrStale, maxAttempts)
 }
 
-// CheckInvariants validates the book: every shard profile satisfies
-// its representation invariants, and replaying the ledger's
-// non-released reservations onto an empty profile reproduces the
-// assembled global profile exactly (no lost and no double-booked
-// capacity).
+// checkPendingLocked audits the shard's Pending index against its
+// ledger: the top is Pending or the heap is empty, heap order holds,
+// every entry is a row of this shard filed once, and every Pending row
+// is among them. The shard's lock must be held.
+//
+//reschedvet:holds mu
+func (sh *bookShard) checkPendingLocked() error {
+	h := sh.pending
+	if len(h) > 0 && h[0].Status != Pending {
+		return fmt.Errorf("pending index: top %s is %v", h[0].ID, h[0].Status)
+	}
+	indexed := make(map[*Reservation]bool, len(h))
+	for i, r := range h {
+		if parent := h[(i-1)/2]; parent.Start > r.Start {
+			return fmt.Errorf("pending index: %s (start %d) sits above %s (start %d)", parent.ID, parent.Start, r.ID, r.Start)
+		}
+		if sh.res[r.ID] != r {
+			return fmt.Errorf("pending index: entry %s is not a row of this shard", r.ID)
+		}
+		if indexed[r] {
+			return fmt.Errorf("pending index: row %s indexed twice", r.ID)
+		}
+		indexed[r] = true
+	}
+	for _, r := range sh.res {
+		if r.Status == Pending && !indexed[r] {
+			return fmt.Errorf("pending index: Pending row %s is missing", r.ID)
+		}
+	}
+	return nil
+}
+
+// CheckInvariants validates the book: every shard's Pending index
+// agrees with its ledger, every shard profile satisfies its
+// representation invariants, and replaying the ledger's non-released
+// reservations onto an empty profile reproduces the assembled global
+// profile exactly (no lost and no double-booked capacity).
 func (b *Book) CheckInvariants() error {
 	lo, hi := 0, len(b.shards)-1
 	b.lockShards(lo, hi)
 	defer b.unlockShards(lo, hi)
+	for i := range b.shards {
+		if err := b.shards[i].checkPendingLocked(); err != nil {
+			return fmt.Errorf("resbook: shard %d: %w", i, err)
+		}
+	}
 	assembled := &profile.Profile{}
 	assembled.Reset(b.capacity, b.origin)
 	for i := range b.shards {

@@ -106,6 +106,44 @@ func BenchmarkSnapshotScalingFlat(b *testing.B) {
 	}
 }
 
+// BenchmarkEarliestPendingActivation asks the backfill guardrail's one
+// question of 8-shard ledgers of growing size in which all but 8 rows
+// are Active — the shape a long-running engine's book has, where rows
+// accumulate and a handful of starvation reservations wait. Reading
+// the tops of the per-shard Pending indexes, the three sizes should
+// time alike; the ledger scan this replaced was linear in the rows.
+func BenchmarkEarliestPendingActivation(b *testing.B) {
+	for _, rows := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			book, err := NewSharded(256, 0, 8, model.Duration(rows*10/8+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < rows; i++ {
+				start := model.Time(i) * 10
+				r, err := book.Reserve(start, start+500, 1+i%4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i%(rows/8) == rows/16 {
+					continue // one Pending row per shard
+				}
+				if err := book.Activate(r.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			want := model.Time(rows/16) * 10
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if at, ok := book.EarliestPendingActivation(0); !ok || at != want {
+					b.Fatalf("EarliestPendingActivation = (%d,%v), want (%d,true)", at, ok, want)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSnapshotCommit1k measures one full optimistic booking
 // cycle — snapshot, commit one reservation, release it — against 1000
 // existing reservations.

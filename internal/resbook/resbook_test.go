@@ -280,3 +280,22 @@ func TestReservationIDFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestListOrderPastSixDigits: IDs are zero-padded to six digits, so a
+// plain string sort files r1000000 before r999999; List must not.
+func TestListOrderPastSixDigits(t *testing.T) {
+	b := New(8, 0)
+	b.nextID.Store(999_997)
+	for i := 0; i < 4; i++ {
+		_, err := b.Reserve(model.Time(10*i), model.Time(10*i+5), 1)
+		mustNil(t, err)
+	}
+	var got []string
+	for _, r := range b.List() {
+		got = append(got, r.ID)
+	}
+	want := []string{"r999998", "r999999", "r1000000", "r1000001"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("List order %v, want %v", got, want)
+	}
+}
