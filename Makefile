@@ -10,13 +10,14 @@
 GO ?= go
 
 # Benchmarks that feed the BENCH_*.json trajectory: the CPA allocation
-# hot path, the profile primitives, and the serving path.
-BENCH_PKGS ?= ./internal/cpa ./internal/profile ./internal/server ./internal/resbook ./internal/lifecycle
+# hot path, the tightest-deadline search, the profile primitives, and
+# the serving path.
+BENCH_PKGS ?= ./internal/cpa ./internal/core ./internal/profile ./internal/server ./internal/resbook ./internal/lifecycle
 # BENCH_PR names the PR whose trajectory file `make bench` writes by
 # default; override either variable to target another file, e.g.
 #   make bench BENCH_PR=PR4
 #   make bench BENCH_OUT=/tmp/scratch.json
-BENCH_PR ?= PR24
+BENCH_PR ?= PR26
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 BENCH_LABEL ?= optimized
 
@@ -25,14 +26,14 @@ BENCH_LABEL ?= optimized
 # allocs/op by more than BENCH_THRESHOLD percent.
 BENCH_BASE ?= BENCH_PR18.json
 BENCH_THRESHOLD ?= 15
-BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/resbook.BenchmarkEarliestPendingActivation,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
+BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/core.BenchmarkTightestDeadline,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/resbook.BenchmarkEarliestPendingActivation,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
 
 # How long each fuzz target runs in fuzz-smoke.
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt vet lint test race race-all build bench bench-compare bench-smoke bench-module fuzz-smoke replay-smoke vuln
+.PHONY: ci fmt vet lint test race race-all build bench bench-compare bench-smoke bench-module fuzz-smoke replay-smoke paper-check vuln
 
-ci: fmt vet lint race replay-smoke bench-smoke bench-module fuzz-smoke vuln
+ci: fmt vet lint race replay-smoke paper-check bench-smoke bench-module fuzz-smoke vuln
 
 build:
 	$(GO) build ./...
@@ -79,6 +80,20 @@ replay-smoke:
 
 race-all:
 	$(GO) test -race ./...
+
+# paper-check reruns EXPERIMENTS.md's command for results_medium.txt
+# (deterministic at its seed; ~25-45 s on 2 vCPUs) and diffs the output
+# against the committed file. Tables 9 and 10 are wall-clock times and
+# are left out; any other difference means a change moved a paper
+# result, and fails the target.
+UNTIMED = awk '/^Table (9|10):/ { skip = 1 } skip && /^$$/ { skip = 0 } !skip'
+paper-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/resexp -table all -apps 8 -dagreps 3 -starts 3 -taggings 2 -seed 1 > "$$tmp/got" && \
+	$(UNTIMED) results_medium.txt > "$$tmp/want" && \
+	$(UNTIMED) "$$tmp/got" > "$$tmp/got.untimed" && \
+	diff -u "$$tmp/want" "$$tmp/got.untimed" && \
+	echo "paper-check: results_medium.txt reproduced (Tables 9 and 10 not compared)"
 
 # bench runs the trajectory benchmarks with -benchmem and folds the
 # results into $(BENCH_OUT) under $(BENCH_LABEL) (see cmd/benchjson

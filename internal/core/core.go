@@ -238,21 +238,23 @@ func (s *Schedule) ProcSeconds() model.Duration {
 func (s *Schedule) CPUHours() float64 { return model.CPUHours(s.ProcSeconds()) }
 
 // Scheduler runs the paper's algorithms for one application DAG. It
-// caches CPA allocations and derived bottom levels per cluster size, so
-// scheduling the same application against many reservation instances —
-// the shape of every experiment in the paper — does not recompute them.
+// caches the CPA allocation per cluster size and the RESSCHEDDL plan
+// (backward order, CPA reference starts, candidate probes) per cluster
+// shape, so scheduling the same application against many reservation
+// instances — the shape of every experiment in the paper — and every
+// probe of a tightest-deadline search recompute neither.
 // A Scheduler is not safe for concurrent use.
 type Scheduler struct {
 	g          *dag.Graph
 	stop       cpa.StopRule
 	allocCache map[int][]int
+	plans      map[planKey]*dlPlan // created on the first deadline call
 
 	// Scratch buffers reused across calls, keeping the per-task
 	// candidate scans and the per-call working profile allocation-free.
 	// scratchAvail is the clone-into target for the availability
 	// profile each scheduling call mutates; it is safe to reuse because
 	// every probe sequence against it is, per call, strictly sequential.
-	scratchCands  []int
 	scratchReqs   []profile.FitRequest
 	scratchStarts []model.Time
 	scratchOK     []bool
@@ -314,20 +316,6 @@ func (s *Scheduler) blExec(m BLMethod, p, q int) ([]model.Duration, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown bottom-level method %v", m)
 	}
-}
-
-// fitRequests fills the scheduler's request scratch with one
-// (processors, duration) probe per distinct-duration candidate
-// allocation in [1, bound] — the shared setup of every per-task
-// candidate scan.
-func (s *Scheduler) fitRequests(seq model.Duration, alpha float64, bound int) []profile.FitRequest {
-	s.scratchCands = appendAllocCandidates(s.scratchCands[:0], seq, alpha, bound)
-	reqs := s.scratchReqs[:0]
-	for _, m := range s.scratchCands {
-		reqs = append(reqs, profile.FitRequest{Procs: m, Dur: model.ExecTime(seq, alpha, m)})
-	}
-	s.scratchReqs = reqs
-	return reqs
 }
 
 // workingAvail copies the environment's availability profile into the

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"resched/internal/daggen"
 	"resched/internal/model"
 	"resched/internal/profile"
 )
@@ -35,6 +38,49 @@ func TestCanceledContextStopsScheduling(t *testing.T) {
 	if _, _, err := s.TightestDeadlineCtx(ctx, env, DLBDCPA); !errors.Is(err, context.Canceled) {
 		t.Errorf("TightestDeadlineCtx under canceled ctx: %v, want context.Canceled", err)
 	}
+}
+
+// countdownCtx reports cancellation from its (left+1)-th Err call on,
+// so a test can cancel at a chosen point inside a computation.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestCancelDuringPlanBuild cancels the first DeadlineCtx half way
+// through the reference-start pass of a 100-task DAG. The partial pass
+// must not be cached: a later call with a live context has to return
+// exactly what a fresh scheduler returns.
+func TestCancelDuringPlanBuild(t *testing.T) {
+	spec := daggen.Default()
+	spec.N = 100
+	g := daggen.MustGenerate(spec, rand.New(rand.NewSource(11)))
+	env := randomEnv(rand.New(rand.NewSource(12)), 64, 5000)
+	// At the tightest deadline the reference starts decide placements.
+	k, want, err := mustScheduler(t, g).TightestDeadline(env, DLRCCPAR)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustScheduler(t, g)
+	ctx := &countdownCtx{Context: context.Background(), left: 50}
+	_, err = s.DeadlineCtx(ctx, env, DLRCCPAR, k)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "reference schedule") {
+		t.Fatalf("DeadlineCtx canceled inside the plan build: %v", err)
+	}
+	got, err := s.DeadlineCtx(context.Background(), env, DLRCCPAR, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlacements(t, "after a canceled plan build", got, want)
 }
 
 // TestBackgroundContextMatchesPlainCalls checks the ctx variants are

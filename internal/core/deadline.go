@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"resched/internal/cpa"
 	"resched/internal/model"
 	"resched/internal/profile"
 )
@@ -54,24 +53,6 @@ func (s *Scheduler) DeadlineCtx(ctx context.Context, env Env, algo DLAlgorithm, 
 	}
 }
 
-// backwardOrder returns tasks in increasing BL_CPAR bottom-level order
-// along with each task's scheduling deadline accumulator.
-func (s *Scheduler) backwardOrder(p, q int) ([]int, error) {
-	exec, err := s.blExec(BLCPAR, p, q)
-	if err != nil {
-		return nil, err
-	}
-	fwd, err := cpa.PriorityOrder(s.g, exec)
-	if err != nil {
-		return nil, err
-	}
-	rev := make([]int, len(fwd))
-	for i, t := range fwd {
-		rev[len(fwd)-1-i] = t
-	}
-	return rev, nil
-}
-
 // taskDeadline returns the time by which task t must finish: the
 // minimum start time of its (already scheduled) successors, or the
 // application deadline if it has none.
@@ -86,11 +67,10 @@ func taskDeadline(sched *Schedule, succs []int, deadline model.Time) model.Time 
 }
 
 // latestPair finds the <processors, start> pair with the latest start
-// time among allocations 1..bound, the aggressive choice of Section
-// 5.2.1. Ties favor fewer processors. The candidate probes run as one
-// batch LatestFits sweep of the profile.
-func (s *Scheduler) latestPair(avail profile.Intervals, task taskParams, bound int, now, dl model.Time) (int, model.Time, bool) {
-	reqs := s.fitRequests(task.seq, task.alpha, bound)
+// time among the candidate probes reqs, the aggressive choice of
+// Section 5.2.1. Ties favor fewer processors. The candidate probes run
+// as one batch LatestFits sweep of the profile.
+func (s *Scheduler) latestPair(avail profile.Intervals, reqs []profile.FitRequest, now, dl model.Time) (int, model.Time, bool) {
 	s.scratchStarts, s.scratchOK = avail.LatestFits(reqs, now, dl, s.scratchStarts, s.scratchOK)
 	bestM, bestStart, found := 0, model.Time(0), false
 	for k := range reqs {
@@ -101,47 +81,36 @@ func (s *Scheduler) latestPair(avail profile.Intervals, task taskParams, bound i
 	return bestM, bestStart, found
 }
 
-type taskParams struct {
-	seq   model.Duration
-	alpha float64
-}
-
 func (s *Scheduler) deadlineAggressive(ctx context.Context, env Env, q int, algo DLAlgorithm, deadline model.Time) (*Schedule, error) {
-	var bound []int
+	// DL_BD_CPA bounds allocations by the CPA allocation for p,
+	// DL_BD_CPAR by the one for q; DL_BD_ALL uses the unbounded probes.
+	qRef := q
 	switch algo {
-	case DLBDAll:
-		bound = s.g.UniformAlloc(env.P)
+	case DLBDAll, DLBDCPAR:
 	case DLBDCPA:
-		a, err := s.cpaAlloc(env.P)
-		if err != nil {
-			return nil, err
-		}
-		bound = a
-	case DLBDCPAR:
-		a, err := s.cpaAlloc(q)
-		if err != nil {
-			return nil, err
-		}
-		bound = a
+		qRef = env.P
 	default:
 		// DeadlineCtx dispatches only the DL_BD algorithms here; an
-		// unhandled one would otherwise leave bound nil and fail far
-		// from the cause.
+		// unhandled one would otherwise fall through to DL_BD_CPAR's
+		// bound and fail far from the cause.
 		return nil, fmt.Errorf("core: %v is not an aggressive deadline algorithm", algo)
 	}
-	order, err := s.backwardOrder(env.P, q)
+	pl, err := s.plan(env.P, q, qRef)
 	if err != nil {
 		return nil, err
 	}
 	avail := s.workingAvail(&env)
 	sched := &Schedule{Now: env.Now, Tasks: make([]Placement, s.g.NumTasks())}
-	for _, t := range order {
+	for _, t := range pl.order {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: deadline scheduling: %w", err)
 		}
 		dl := taskDeadline(sched, s.g.Successors(t), deadline)
-		task := taskParams{s.g.Task(t).Seq, s.g.Task(t).Alpha}
-		m, st, ok := s.latestPair(avail, task, bound[t], env.Now, dl)
+		reqs := pl.bounded[t]
+		if algo == DLBDAll {
+			reqs = s.unbounded(pl, t, env.P)
+		}
+		m, st, ok := s.latestPair(avail, reqs, env.Now, dl)
 		if !ok {
 			return nil, fmt.Errorf("%w: task %d has no feasible reservation before %d (%s)", ErrInfeasible, t, dl, algo)
 		}
@@ -159,35 +128,29 @@ func (s *Scheduler) deadlineAggressive(ctx context.Context, env Env, q int, algo
 // algorithm falls back to the aggressive latest-start choice, bounded
 // by the CPA allocation when boundedFallback is set (DL_RCBD_CPAR-λ).
 func (s *Scheduler) deadlineRC(ctx context.Context, env Env, q, qRef int, deadline model.Time, lambda float64, boundedFallback bool) (*Schedule, error) {
-	allocRef, err := s.cpaAlloc(qRef)
+	pl, err := s.plan(env.P, q, qRef)
 	if err != nil {
 		return nil, err
 	}
-	order, err := s.backwardOrder(env.P, q)
-	if err != nil {
-		return nil, err
+	if pl.ref == nil {
+		ref, err := referenceStarts(ctx, s.g, pl.order, pl.alloc, qRef)
+		if err != nil {
+			return nil, fmt.Errorf("core: CPA reference schedule: %w", err)
+		}
+		pl.ref = ref
 	}
 	avail := s.workingAvail(&env)
 	sched := &Schedule{Now: env.Now, Tasks: make([]Placement, s.g.NumTasks())}
-	unscheduled := make([]bool, s.g.NumTasks())
-	for i := range unscheduled {
-		unscheduled[i] = true
-	}
-	for _, t := range order {
+	for _, t := range pl.order {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: deadline scheduling: %w", err)
 		}
 		dl := taskDeadline(sched, s.g.Successors(t), deadline)
-		task := taskParams{s.g.Task(t).Seq, s.g.Task(t).Alpha}
 
-		// CPA reference start time S_t: a fresh CPA schedule of the
-		// not-yet-scheduled upper part of the DAG, on a dedicated
+		// CPA reference start time S_t: t's start in a CPA schedule of
+		// the not-yet-scheduled upper part of the DAG, on a dedicated
 		// cluster of qRef processors starting now.
-		ref, err := cpa.ListScheduleSubset(s.g, allocRef, qRef, env.Now, unscheduled)
-		if err != nil {
-			return nil, fmt.Errorf("core: CPA reference schedule: %w", err)
-		}
-		refStart := ref.Start[t]
+		refStart := env.Now + pl.ref[t]
 
 		// Laxity-adjusted threshold: S_t + lambda*(dl_t - S_t). With
 		// lambda = 0 this is the plain RC rule; lambda = 1 pushes the
@@ -204,7 +167,7 @@ func (s *Scheduler) deadlineRC(ctx context.Context, env Env, q, qRef int, deadli
 		// the deadline is loose the candidate start is far past S_t and
 		// one processor wins; as it tightens, candidate starts compress
 		// toward S_t and the allocation grows toward the CPA schedule's.
-		reqs := s.fitRequests(task.seq, task.alpha, allocRef[t])
+		reqs := pl.bounded[t]
 		s.scratchStarts, s.scratchOK = avail.LatestFits(reqs, env.Now, dl, s.scratchStarts, s.scratchOK)
 		m, st, ok := 0, model.Time(0), false
 		for k := range reqs {
@@ -220,11 +183,10 @@ func (s *Scheduler) deadlineRC(ctx context.Context, env Env, q, qRef int, deadli
 			// Aggressive fallback ("back on track", Section 5.2.2 /
 			// 5.4): latest start, optionally bounded by the CPA
 			// allocation.
-			bound := env.P
-			if boundedFallback {
-				bound = allocRef[t]
+			if !boundedFallback {
+				reqs = s.unbounded(pl, t, env.P)
 			}
-			m, st, ok = s.latestPair(avail, task, bound, env.Now, dl)
+			m, st, ok = s.latestPair(avail, reqs, env.Now, dl)
 		}
 		if !ok {
 			return nil, fmt.Errorf("%w: task %d has no feasible reservation before %d (RC)", ErrInfeasible, t, dl)
@@ -232,7 +194,6 @@ func (s *Scheduler) deadlineRC(ctx context.Context, env Env, q, qRef int, deadli
 		if err := s.commit(avail, sched, t, m, st); err != nil {
 			return nil, err
 		}
-		unscheduled[t] = false
 	}
 	return sched, nil
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"resched/internal/cpa"
+	"resched/internal/dag"
 	"resched/internal/daggen"
 	"resched/internal/model"
 	"resched/internal/profile"
@@ -73,10 +76,10 @@ func naiveTurnaround(s *Scheduler, env Env, bl BLMethod, bd BDMethod) (*Schedule
 
 // naiveLatestPair is the pre-optimization aggressive pick: one solo
 // LatestFit per candidate allocation.
-func naiveLatestPair(avail profile.Intervals, task taskParams, bound int, now, dl model.Time) (int, model.Time, bool) {
+func naiveLatestPair(avail profile.Intervals, task dag.Task, bound int, now, dl model.Time) (int, model.Time, bool) {
 	bestM, bestStart, found := 0, model.Time(0), false
-	for _, m := range allocCandidates(task.seq, task.alpha, bound) {
-		d := model.ExecTime(task.seq, task.alpha, m)
+	for _, m := range allocCandidates(task.Seq, task.Alpha, bound) {
+		d := model.ExecTime(task.Seq, task.Alpha, m)
 		st, ok := avail.LatestFit(m, d, now, dl)
 		if ok && (!found || st > bestStart) {
 			bestM, bestStart, found = m, st, true
@@ -85,8 +88,29 @@ func naiveLatestPair(avail profile.Intervals, task taskParams, bound int, now, d
 	return bestM, bestStart, found
 }
 
-// naiveDeadline reimplements the backward schedulers (aggressive and
-// plain resource-conservative) with solo probes and a cloned profile.
+// naiveBackwardOrder is the pre-plan backward order, rebuilt on every
+// call: tasks in increasing BL_CPAR bottom level.
+func naiveBackwardOrder(s *Scheduler, p, q int) ([]int, error) {
+	exec, err := s.blExec(BLCPAR, p, q)
+	if err != nil {
+		return nil, err
+	}
+	fwd, err := cpa.PriorityOrder(s.g, exec)
+	if err != nil {
+		return nil, err
+	}
+	rev := make([]int, len(fwd))
+	for i, t := range fwd {
+		rev[len(fwd)-1-i] = t
+	}
+	return rev, nil
+}
+
+// naiveDeadline reimplements every backward scheduler with solo probes,
+// a cloned profile, the backward order rebuilt per call and one full
+// cpa.ListScheduleSubset of the unscheduled tasks per task for the RC
+// reference start. The lambda hybrids sweep lambda over naiveDeadlineRC
+// as DeadlineCtx does.
 func naiveDeadline(s *Scheduler, env Env, algo DLAlgorithm, deadline model.Time) (*Schedule, error) {
 	q, err := env.validate()
 	if err != nil {
@@ -95,8 +119,21 @@ func naiveDeadline(s *Scheduler, env Env, algo DLAlgorithm, deadline model.Time)
 	if deadline < env.Now {
 		return nil, fmt.Errorf("%w: deadline %d before now %d", ErrInfeasible, deadline, env.Now)
 	}
+	switch algo {
+	case DLRCCPA:
+		return naiveDeadlineRC(s, env, q, env.P, deadline, 0, false)
+	case DLRCCPAR:
+		return naiveDeadlineRC(s, env, q, q, deadline, 0, false)
+	case DLRCCPARLambda, DLRCBDCPARLambda:
+		for step := 0; float64(step)*LambdaStep <= 1; step++ {
+			sched, err := naiveDeadlineRC(s, env, q, q, deadline, float64(step)*LambdaStep, algo == DLRCBDCPARLambda)
+			if !errors.Is(err, ErrInfeasible) {
+				return sched, err
+			}
+		}
+		return nil, fmt.Errorf("%w: no lambda in [0,1] meets deadline %d", ErrInfeasible, deadline)
+	}
 	var bound []int
-	rc, qRef := false, 0
 	switch algo {
 	case DLBDAll:
 		bound = s.g.UniformAlloc(env.P)
@@ -108,20 +145,36 @@ func naiveDeadline(s *Scheduler, env Env, algo DLAlgorithm, deadline model.Time)
 		if bound, err = s.cpaAlloc(q); err != nil {
 			return nil, err
 		}
-	case DLRCCPA:
-		rc, qRef = true, env.P
-	case DLRCCPAR:
-		rc, qRef = true, q
 	default:
 		return nil, fmt.Errorf("naiveDeadline does not cover %v", algo)
 	}
-	var allocRef []int
-	if rc {
-		if allocRef, err = s.cpaAlloc(qRef); err != nil {
+	order, err := naiveBackwardOrder(s, env.P, q)
+	if err != nil {
+		return nil, err
+	}
+	avail := env.Avail.CloneIntervals()
+	sched := &Schedule{Now: env.Now, Tasks: make([]Placement, s.g.NumTasks())}
+	for _, t := range order {
+		dl := taskDeadline(sched, s.g.Successors(t), deadline)
+		m, st, ok := naiveLatestPair(avail, s.g.Task(t), bound[t], env.Now, dl)
+		if !ok {
+			return nil, fmt.Errorf("%w: task %d has no feasible reservation before %d", ErrInfeasible, t, dl)
+		}
+		if err := naiveCommit(avail, sched, s.g.Task(t), t, m, st); err != nil {
 			return nil, err
 		}
 	}
-	order, err := s.backwardOrder(env.P, q)
+	return sched, nil
+}
+
+// naiveDeadlineRC is the resource-conservative scheduler with the
+// lambda laxity and the optionally CPA-bounded fallback.
+func naiveDeadlineRC(s *Scheduler, env Env, q, qRef int, deadline model.Time, lambda float64, boundedFallback bool) (*Schedule, error) {
+	allocRef, err := s.cpaAlloc(qRef)
+	if err != nil {
+		return nil, err
+	}
+	order, err := naiveBackwardOrder(s, env.P, q)
 	if err != nil {
 		return nil, err
 	}
@@ -133,45 +186,53 @@ func naiveDeadline(s *Scheduler, env Env, algo DLAlgorithm, deadline model.Time)
 	}
 	for _, t := range order {
 		dl := taskDeadline(sched, s.g.Successors(t), deadline)
-		task := taskParams{s.g.Task(t).Seq, s.g.Task(t).Alpha}
+		task := s.g.Task(t)
+		ref, err := cpa.ListScheduleSubset(s.g, allocRef, qRef, env.Now, unscheduled)
+		if err != nil {
+			return nil, err
+		}
+		threshold := ref.Start[t] + model.Time(math.Round(lambda*float64(dl-ref.Start[t])))
 		var m int
 		var st model.Time
 		var ok bool
-		if rc {
-			ref, err := cpa.ListScheduleSubset(s.g, allocRef, qRef, env.Now, unscheduled)
-			if err != nil {
-				return nil, err
+		for _, cand := range allocCandidates(task.Seq, task.Alpha, allocRef[t]) {
+			d := model.ExecTime(task.Seq, task.Alpha, cand)
+			lst, fits := avail.LatestFit(cand, d, env.Now, dl)
+			if !fits || lst < threshold {
+				continue
 			}
-			threshold := ref.Start[t] // lambda = 0
-			for _, cand := range allocCandidates(task.seq, task.alpha, allocRef[t]) {
-				d := model.ExecTime(task.seq, task.alpha, cand)
-				lst, fits := avail.LatestFit(cand, d, env.Now, dl)
-				if !fits || lst < threshold {
-					continue
-				}
-				if !ok || lst < st {
-					m, st, ok = cand, lst, true
-				}
+			if !ok || lst < st {
+				m, st, ok = cand, lst, true
 			}
-			if !ok {
-				m, st, ok = naiveLatestPair(avail, task, env.P, env.Now, dl)
+		}
+		if !ok {
+			bound := env.P
+			if boundedFallback {
+				bound = allocRef[t]
 			}
-		} else {
-			m, st, ok = naiveLatestPair(avail, task, bound[t], env.Now, dl)
+			m, st, ok = naiveLatestPair(avail, task, bound, env.Now, dl)
 		}
 		if !ok {
 			return nil, fmt.Errorf("%w: task %d has no feasible reservation before %d", ErrInfeasible, t, dl)
 		}
-		d := model.ExecTime(task.seq, task.alpha, m)
-		if d > 0 {
-			if err := avail.Reserve(st, st+d, m); err != nil {
-				return nil, err
-			}
+		if err := naiveCommit(avail, sched, task, t, m, st); err != nil {
+			return nil, err
 		}
-		sched.Tasks[t] = Placement{Procs: m, Start: st, End: st + d}
 		unscheduled[t] = false
 	}
 	return sched, nil
+}
+
+// naiveCommit reserves and records one placement.
+func naiveCommit(avail profile.Intervals, sched *Schedule, task dag.Task, t, m int, st model.Time) error {
+	d := model.ExecTime(task.Seq, task.Alpha, m)
+	if d > 0 {
+		if err := avail.Reserve(st, st+d, m); err != nil {
+			return err
+		}
+	}
+	sched.Tasks[t] = Placement{Procs: m, Start: st, End: st + d}
+	return nil
 }
 
 func samePlacements(t *testing.T, label string, got, want *Schedule) {
@@ -224,7 +285,7 @@ func TestTurnaroundMatchesNaive(t *testing.T) {
 // the naive reimplementation, at a loose deadline (feasible for every
 // algorithm) and a tight one (infeasibility must agree too).
 func TestDeadlineMatchesNaive(t *testing.T) {
-	algos := []DLAlgorithm{DLBDAll, DLBDCPA, DLBDCPAR, DLRCCPA, DLRCCPAR}
+	algos := AllDL
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		spec := daggen.Default()

@@ -56,7 +56,8 @@ func (s *Scheduler) TurnaroundCtx(ctx context.Context, env Env, bl BLMethod, bd 
 		if limit > env.P {
 			limit = env.P
 		}
-		reqs := s.fitRequests(task.Seq, task.Alpha, limit)
+		s.scratchReqs = appendFitRequests(s.scratchReqs[:0], task.Seq, task.Alpha, limit)
+		reqs := s.scratchReqs
 		s.scratchStarts = avail.EarliestFits(reqs, ready, s.scratchStarts)
 		bestM, bestStart, bestFinish := 0, model.Time(0), model.Infinity
 		for k := range reqs {

@@ -10,7 +10,8 @@
 // critical-path task that profits most, until the critical path length
 // T_CP no longer exceeds the average area T_A = (1/P)·Σ m(t)·T(t,m(t)).
 // The mapping phase list-schedules tasks in decreasing bottom-level
-// order onto the cluster.
+// order (PriorityOrder) onto the cluster; core replays it for the
+// reference start times, and ListSchedule (reference.go) is its oracle.
 //
 // The paper uses the improved stopping criterion of N'Takpé, Suter &
 // Casanova (ISPDC 2007), which curbs CPA's tendency to over-allocate.
@@ -33,7 +34,6 @@ import (
 
 	"resched/internal/dag"
 	"resched/internal/model"
-	"resched/internal/profile"
 )
 
 // StopRule selects the allocation-phase stopping criterion.
@@ -416,105 +416,6 @@ func allocCap(alpha float64, p int) int {
 		m = p
 	}
 	return m
-}
-
-// Schedule is a dedicated-cluster schedule produced by the CPA mapping
-// phase: per-task start and finish times and allocations. Tasks
-// excluded from a subset schedule carry Start = Finish = -1.
-type Schedule struct {
-	Start  []model.Time
-	Finish []model.Time
-	Alloc  []int
-}
-
-// Makespan returns the latest finish time across scheduled tasks, or
-// the origin if none were scheduled.
-func (s *Schedule) Makespan(origin model.Time) model.Time {
-	m := origin
-	for _, f := range s.Finish {
-		if f > m {
-			m = f
-		}
-	}
-	return m
-}
-
-// ListSchedule runs the CPA mapping phase: tasks are scheduled in
-// decreasing bottom-level order on a dedicated cluster of p processors
-// free from origin onward, each task at min(alloc, p) processors, at
-// the earliest time its predecessors have finished and enough
-// processors are free.
-func ListSchedule(g *dag.Graph, alloc []int, p int, origin model.Time) (*Schedule, error) {
-	return ListScheduleSubset(g, alloc, p, origin, nil)
-}
-
-// ListScheduleSubset is ListSchedule restricted to the tasks marked in
-// include (nil means all tasks). The included set must be closed under
-// predecessors: scheduling a task whose predecessor is excluded is an
-// error. This is what the resource-conservative deadline algorithms
-// need — a CPA reference schedule of the not-yet-scheduled "upper"
-// part of the DAG.
-func ListScheduleSubset(g *dag.Graph, alloc []int, p int, origin model.Time, include []bool) (*Schedule, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("cpa: cluster size %d < 1", p)
-	}
-	n := g.NumTasks()
-	if len(alloc) != n {
-		return nil, fmt.Errorf("cpa: allocation vector has %d entries for %d tasks", len(alloc), n)
-	}
-	if include != nil && len(include) != n {
-		return nil, fmt.Errorf("cpa: include vector has %d entries for %d tasks", len(include), n)
-	}
-	clamped := make([]int, n)
-	for i, m := range alloc {
-		if m < 1 {
-			return nil, fmt.Errorf("cpa: task %d allocated %d processors", i, m)
-		}
-		if m > p {
-			m = p
-		}
-		clamped[i] = m
-	}
-	exec, err := g.ExecTimes(clamped)
-	if err != nil {
-		return nil, err
-	}
-	order, err := PriorityOrder(g, exec)
-	if err != nil {
-		return nil, err
-	}
-
-	sched := &Schedule{
-		Start:  make([]model.Time, n),
-		Finish: make([]model.Time, n),
-		Alloc:  clamped,
-	}
-	for i := range sched.Start {
-		sched.Start[i], sched.Finish[i] = -1, -1
-	}
-	avail := profile.New(p, origin)
-	for _, t := range order {
-		if include != nil && !include[t] {
-			continue
-		}
-		ready := origin
-		for _, pr := range g.Predecessors(t) {
-			if include != nil && !include[pr] {
-				return nil, fmt.Errorf("cpa: task %d included but predecessor %d excluded", t, pr)
-			}
-			if sched.Finish[pr] > ready {
-				ready = sched.Finish[pr]
-			}
-		}
-		start := avail.EarliestFit(clamped[t], exec[t], ready)
-		if exec[t] > 0 {
-			if err := avail.Reserve(start, start+exec[t], clamped[t]); err != nil {
-				return nil, fmt.Errorf("cpa: reserving task %d: %w", t, err)
-			}
-		}
-		sched.Start[t], sched.Finish[t] = start, start+exec[t]
-	}
-	return sched, nil
 }
 
 // PriorityOrder returns the task IDs sorted by decreasing bottom level
