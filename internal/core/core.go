@@ -163,9 +163,9 @@ type Env struct {
 	Now model.Time
 	// Avail is the availability profile holding all competing
 	// reservations, on either backend (flat *profile.Profile or
-	// *profile.TreeProfile; see profile.Auto). Its origin must not be
-	// after Now. Schedulers clone it; the caller's profile is never
-	// modified.
+	// *profile.PersistentProfile, as resbook snapshots hand them out).
+	// Its origin must not be after Now. Schedulers clone it; the
+	// caller's profile is never modified.
 	Avail profile.Intervals
 	// Q is the historical average number of available processors
 	// (Section 4.2). If zero, it defaults to P.

@@ -25,9 +25,9 @@
 //
 //   - A job that fails to place for StarveAttempts passes, or has
 //     waited StarveAge seconds, receives a starvation-triggered
-//     advance reservation at its earliest feasible start, computed by
-//     replaying the fit against the snapshot profile on the
-//     tree-backed backend (profile.Auto). The reservation is booked
+//     advance reservation at its earliest feasible start, computed
+//     against the snapshot profile on whichever backend the book's
+//     snapshot hands out. The reservation is booked
 //     Pending; the engine activates it at its start time, which is
 //     when the job transitions Reserved → Running.
 //

@@ -1,30 +1,26 @@
 package profile
 
 // This file defines the Intervals interface: the query/mutation
-// surface shared by the three availability-profile backends. The flat
+// surface shared by the two availability-profile backends. The flat
 // Profile (profile.go) stores the step function as parallel arrays
 // and answers queries with linear scans — simple, cache-friendly, and
-// the differential-test oracle. TreeProfile (segtree.go) indexes the
-// same step function with a balanced tree in a mutable arena and
-// answers the same queries in O(log n) per probe; it copies in O(n).
-// PersistentProfile (persistent.go) is the same tree on heap nodes,
-// copy-on-write: Clone is O(1), which is why the reservation book's
-// shards and every snapshot of a large book are persistent handles.
-// Auto and NewAuto pick between the first two by segment count so
-// callers (internal/cpa, internal/core, internal/server) never
-// hard-code the choice; CopyIntervals keeps whichever backend it is
-// handed.
+// the differential-test oracle. PersistentProfile (persistent.go)
+// indexes the same step function with a copy-on-write treap and
+// answers the same queries in O(log n) per probe; Clone is O(1), which
+// is why the reservation book's shards and every snapshot of a large
+// book are persistent handles. Callers (internal/cpa, internal/core,
+// internal/server) are written against Intervals and never pick a
+// backend; CopyIntervals keeps whichever backend it is handed.
 
 import "resched/internal/model"
 
 // Intervals is the availability-profile abstraction: a step function
 // of free processors over [origin, +inf) supporting feasibility
-// probes and reservation mutations. *Profile, *TreeProfile and
-// *PersistentProfile implement it with bit-identical results — same
-// answers, same error strings, same panics — enforced by the
-// differential tests, FuzzTreeProfileVsFlat and FuzzPersistentVsFlat;
-// scheduling code written against Intervals runs unchanged on any of
-// them.
+// probes and reservation mutations. *Profile and *PersistentProfile
+// implement it with bit-identical results — same answers, same error
+// strings, same panics — enforced by the differential tests and
+// FuzzPersistentVsFlat; scheduling code written against Intervals runs
+// unchanged on either.
 type Intervals interface {
 	Capacity() int
 	Origin() model.Time
@@ -64,7 +60,6 @@ type Intervals interface {
 // Compile-time checks that every backend satisfies the interface.
 var (
 	_ Intervals = (*Profile)(nil)
-	_ Intervals = (*TreeProfile)(nil)
 	_ Intervals = (*PersistentProfile)(nil)
 )
 
@@ -74,52 +69,26 @@ func (p *Profile) Flat() *Profile { return p.Clone() }
 // CloneIntervals implements Intervals for the flat backend.
 func (p *Profile) CloneIntervals() Intervals { return p.Clone() }
 
-// AutoTreeThreshold is the segment count at or beyond which Auto and
-// NewAuto pick the tree backend. Below it the flat linear scans win on
-// constant factors; the crossover sits well under this on the
-// EarliestFit scaling benchmarks, so the threshold is conservative.
+// AutoTreeThreshold is the segment count below which the reservation
+// book's SnapshotInto materializes a persistent snapshot into a flat
+// profile rather than sharing the shard roots. Materializing costs
+// O(n) once, after which each flat probe is cheaper than a tree probe
+// at these sizes, so where the cut belongs depends on how many probes
+// a snapshot answers; BenchmarkSnapshotArms sweeps both arms across it
+// (DESIGN §17).
 const AutoTreeThreshold = 128
-
-// Auto returns the backend suited to p's current size: p itself for
-// small profiles, a TreeProfile built from p (an independent copy) for
-// horizons of AutoTreeThreshold segments or more.
-func Auto(p *Profile) Intervals {
-	if p.NumSegments() >= AutoTreeThreshold {
-		return NewTreeFromProfile(p)
-	}
-	return p
-}
-
-// NewAuto returns an empty profile on the backend suited to the
-// expected number of segments: flat below AutoTreeThreshold, tree at
-// or above it. Callers that know how many reservations they are about
-// to commit (the CPA list scheduler books one per task) pass that as
-// the hint.
-func NewAuto(capacity int, origin model.Time, hint int) Intervals {
-	if hint >= AutoTreeThreshold {
-		return NewTree(capacity, origin)
-	}
-	return New(capacity, origin)
-}
 
 // CopyIntervals copies src into a working copy on src's backend,
 // reusing scratch's storage when scratch already holds that backend.
 // It is CloneInto generalized over Intervals: the schedulers' per-call
-// working profile stays allocation-free across calls even when the
-// serving layer switches backends per request.
+// working profile stays allocation-free across calls on the flat
+// backend, and a persistent source shares its root.
 func CopyIntervals(src Intervals, scratch Intervals) Intervals {
 	switch s := src.(type) {
 	case *Profile:
 		dst, ok := scratch.(*Profile)
 		if !ok || dst == nil {
 			dst = &Profile{}
-		}
-		s.CloneInto(dst)
-		return dst
-	case *TreeProfile:
-		dst, ok := scratch.(*TreeProfile)
-		if !ok || dst == nil {
-			dst = &TreeProfile{}
 		}
 		s.CloneInto(dst)
 		return dst

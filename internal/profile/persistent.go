@@ -1,14 +1,32 @@
 package profile
 
-// PersistentProfile is the copy-on-write availability-profile backend:
-// the same treap-indexed step function as TreeProfile, but with
-// heap-allocated nodes and path-copying mutations instead of an
-// in-place arena. Every Reserve/Unreserve copies only those of the
-// O(log n) nodes on its descent path (plus the O(log n) off-path
-// children a lazy-tag pushdown touches) that the handle's current edit
-// does not already own — nodes the edit created it writes in place —
-// and publishes the new root; Clone ends the edit, so every node
-// reachable from another handle is never written again.
+// PersistentProfile is the O(log n), copy-on-write availability-profile
+// backend: the flat Profile's step function indexed by a treap
+// (randomized balanced BST) over the segment-start breakpoints. Each
+// node carries its segment's free-processor count plus subtree min/max
+// aggregates and a lazy range-add tag, so
+//
+//   - FreeAt / MinFree            are tree descents,          O(log n)
+//   - Reserve / Unreserve         are two breakpoint inserts,
+//                                 one lazy range-add, and up to
+//                                 two coalescing deletes,     O(log n)
+//   - EarliestFit / LatestFit     probe blocking segments via
+//                                 aggregate-pruned descents,  O((b+1) log n)
+//                                 where b is the number of blocking
+//                                 segments the probe must skip,
+//
+// versus the flat backend's O(n) scans. AvgFree and the rendering
+// queries traverse the queried window, O(k + log n) for k segments.
+// Node priorities come from a splitmix64 stream, so tree shapes — and
+// differential runs against the flat oracle — are reproducible.
+//
+// Nodes live on the heap and mutations path-copy. Every
+// Reserve/Unreserve copies only those of the O(log n) nodes on its
+// descent path (plus the O(log n) off-path children a lazy-tag
+// pushdown touches) that the handle's current edit does not already
+// own — nodes the edit created it writes in place — and publishes the
+// new root; Clone ends the edit, so every node reachable from another
+// handle is never written again.
 //
 // That makes Clone an O(1) struct copy sharing the root pointer, which
 // is what the sharded reservation book needs: taking a global snapshot
@@ -19,10 +37,10 @@ package profile
 // snapshot references them; there is no free list and no manual
 // reclamation.
 //
-// Read paths stay mutation-free exactly as in TreeProfile: query
-// descents accumulate pending lazy adds of strict ancestors in an acc
-// parameter and never push tags down, so a root shared by any number
-// of snapshot handles can be probed concurrently without copying.
+// Read paths are mutation-free: query descents accumulate pending lazy
+// adds of strict ancestors in an acc parameter and never push tags
+// down, so a root shared by any number of snapshot handles can be
+// probed concurrently without copying.
 //
 // A PersistentProfile can also represent a bounded window
 // [origin, horizon) of the step function — the shard-local trees of
@@ -36,10 +54,25 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"resched/internal/model"
 )
+
+const (
+	freeCeil = int(1) << 30 // above any processor count: range-min identity
+	keyFloor = model.Time(math.MinInt64 / 2)
+	keyCeil  = model.Time(math.MaxInt64 / 2)
+)
+
+// splitmix64 is the deterministic priority stream for treap nodes.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
 
 // pnode is one treap node: the segment starting at key holds val free
 // processors until the next breakpoint. mn/mx aggregate val over the
@@ -72,7 +105,7 @@ var editTokens atomic.Uint64
 
 // PersistentProfile is a step function of free processors over
 // [origin, horizon) answering queries in O(log n) with O(1) snapshots.
-// The zero value is not usable; construct with NewPersistent,
+// The zero value is not usable; construct with NewTree,
 // NewPersistentFromProfile, or NewPersistentWindow.
 type PersistentProfile struct {
 	capacity int
@@ -93,9 +126,9 @@ type PersistentProfile struct {
 	edit atomic.Uint64
 }
 
-// NewPersistent returns an empty persistent profile: capacity
-// processors free from origin onward.
-func NewPersistent(capacity int, origin model.Time) *PersistentProfile {
+// NewTree returns an empty persistent profile: capacity processors
+// free from origin onward.
+func NewTree(capacity int, origin model.Time) *PersistentProfile {
 	return NewPersistentWindow(capacity, origin, model.Infinity, 0)
 }
 
@@ -438,10 +471,9 @@ func (t *PersistentProfile) rangeAdd(n *pnode, lb, ub, lo, hi model.Time, d int3
 
 // ---- read-only descents ----
 //
-// Ports of the TreeProfile descents onto pointer nodes. Queries never
-// push lazy tags down: they accumulate the pending adds of strict
-// ancestors in acc, so a root shared across snapshots is probed
-// without a single write.
+// Queries never push lazy tags down: they accumulate the pending adds
+// of strict ancestors in acc, so a root shared across snapshots is
+// probed without a single write.
 
 // floor returns the key and value of the segment containing x — the
 // greatest breakpoint <= x. ok is false when x precedes the origin.

@@ -164,52 +164,3 @@ func (t *PersistentProfile) AvgFreeChecked(start, end model.Time) (float64, erro
 	}
 	return t.AvgFree(start, end), nil
 }
-
-// EarliestFitChecked is the tree backend's validated EarliestFit; same
-// contract as the flat variant.
-func (t *TreeProfile) EarliestFitChecked(procs int, dur model.Duration, notBefore model.Time) (model.Time, error) {
-	if err := validateFit(t.capacity, procs, dur); err != nil {
-		return 0, err
-	}
-	if err := validateOrigin(notBefore, t.origin); err != nil {
-		return 0, err
-	}
-	return t.EarliestFit(procs, dur, notBefore), nil
-}
-
-// LatestFitChecked is the tree backend's validated LatestFit; same
-// contract as the flat variant.
-func (t *TreeProfile) LatestFitChecked(procs int, dur model.Duration, notBefore, finishBy model.Time) (model.Time, bool, error) {
-	if err := validateFit(t.capacity, procs, dur); err != nil {
-		return 0, false, err
-	}
-	if err := validateOrigin(notBefore, t.origin); err != nil {
-		return 0, false, err
-	}
-	s, ok := t.LatestFit(procs, dur, notBefore, finishBy)
-	return s, ok, nil
-}
-
-// MinFreeChecked is the tree backend's validated MinFree; same
-// contract as the flat variant.
-func (t *TreeProfile) MinFreeChecked(start, end model.Time) (int, error) {
-	if err := validateWindow(start, end); err != nil {
-		return 0, err
-	}
-	if err := validateOrigin(start, t.origin); err != nil {
-		return 0, err
-	}
-	return t.MinFree(start, end), nil
-}
-
-// AvgFreeChecked is the tree backend's validated AvgFree; same
-// contract as the flat variant.
-func (t *TreeProfile) AvgFreeChecked(start, end model.Time) (float64, error) {
-	if err := validateWindow(start, end); err != nil {
-		return 0, err
-	}
-	if err := validateOrigin(start, t.origin); err != nil {
-		return 0, err
-	}
-	return t.AvgFree(start, end), nil
-}

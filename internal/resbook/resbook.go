@@ -418,9 +418,10 @@ func (b *Book) Snapshot() Snapshot {
 // the snapshot is dead once dst is reused or handed back. On the flat
 // oracle backend the schedule is copied into dst, reusing its backing
 // arrays. On the persistent backend dst is used only when the schedule
-// is small (fewer than profile.AutoTreeThreshold segments, where the
-// flat backend's linear scans win on constant factors): the segments
-// are materialized into dst and Avail is dst. Larger schedules skip
+// is small (fewer than profile.AutoTreeThreshold segments, where one
+// O(n) copy buys flat probes cheaper than tree descents; DESIGN §17
+// has the sweep): the segments are materialized into dst and Avail is
+// dst. Larger schedules skip
 // dst entirely — Avail is a copy-on-write handle over the shard roots
 // and the snapshot allocates O(#shards) regardless of R.
 //
@@ -473,9 +474,8 @@ func (b *Book) SnapshotInto(dst *profile.Profile) Snapshot {
 		total += parts[i].NumSegments()
 	}
 	if total < profile.AutoTreeThreshold {
-		// Small-R auto backend: materialize the handful of segments into
-		// the pooled flat profile, whose scans beat tree descents at
-		// this size.
+		// Small R: materialize the handful of segments into the pooled
+		// flat profile, whose scans beat tree descents at this size.
 		dst.Reset(b.capacity, b.origin)
 		for _, p := range parts {
 			p.AppendSegmentsTo(dst)

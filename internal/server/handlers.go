@@ -31,27 +31,6 @@ func (s *Server) resolveNow(reqNow model.Time) (model.Time, error) {
 	return reqNow, nil
 }
 
-// withAvail picks the scheduling backend for a snapshot's availability
-// handle and lends it to fn. Persistent handles (the default book
-// backend) and small flat profiles pass through unchanged — a
-// persistent snapshot already answers probes in O(log n) with zero
-// copying, which is what shrank this inversion: the pooled tree reload
-// survives only for large *flat* snapshots (the oracle-backend book),
-// where the O(log n) probes pay for the rebuild. The borrow ends when
-// fn returns — the schedulers work on their own copy, so nothing may
-// retain a pooled backend afterwards (the poolescape discipline:
-// pooled scratch never outlives the lending scope).
-func (s *Server) withAvail(av profile.Intervals, fn func(profile.Intervals)) {
-	if p, ok := av.(*profile.Profile); ok && p.NumSegments() >= profile.AutoTreeThreshold {
-		tree := s.treePool.Get().(*profile.TreeProfile)
-		tree.LoadProfile(p)
-		fn(tree)
-		s.treePool.Put(tree)
-		return
-	}
-	fn(av)
-}
-
 // buildScheduleResponse assembles the response shared by the solo and
 // batch serving paths.
 func buildScheduleResponse(algo string, version uint64, sched *core.Schedule, deadline model.Time, retries int) api.ScheduleResponse {
@@ -91,13 +70,8 @@ func (s *Server) runCommitLoop(w http.ResponseWriter, r *http.Request, bin bool,
 			return
 		}
 		snap := s.book.SnapshotInto(prof)
-		var sched *core.Schedule
-		var deadline model.Time
-		var err error
-		s.withAvail(snap.Avail, func(avail profile.Intervals) {
-			env := core.Env{P: s.book.Capacity(), Now: now, Avail: avail, Q: q}
-			sched, deadline, err = compute(env)
-		})
+		env := core.Env{P: s.book.Capacity(), Now: now, Avail: snap.Avail, Q: q}
+		sched, deadline, err := compute(env)
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
 				s.writeJSON(w, http.StatusUnprocessableEntity, api.Error{Error: err.Error()})
@@ -264,44 +238,36 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		var reqs []resbook.Request
 		perJob := make([]int, len(jobs)) // reservation count per job, for ID fan-out
-		failed := false
-		s.withAvail(snap.Avail, func(avail profile.Intervals) {
-			for i, job := range jobs {
-				env := core.Env{P: s.book.Capacity(), Now: job.now, Avail: avail, Q: job.q}
-				sched, err := job.sch.TurnaroundCtx(ctx, env, job.bl, job.bd)
-				if err != nil {
-					if errors.Is(err, core.ErrInfeasible) {
-						s.writeJSON(w, http.StatusUnprocessableEntity,
-							api.Error{Error: fmt.Sprintf("job %d: %s", i, err)})
-					} else {
-						s.writeSchedulingError(w, r, fmt.Errorf("job %d: %w", i, err))
-					}
-					failed = true
+		for i, job := range jobs {
+			env := core.Env{P: s.book.Capacity(), Now: job.now, Avail: snap.Avail, Q: job.q}
+			sched, err := job.sch.TurnaroundCtx(ctx, env, job.bl, job.bd)
+			if err != nil {
+				if errors.Is(err, core.ErrInfeasible) {
+					s.writeJSON(w, http.StatusUnprocessableEntity,
+						api.Error{Error: fmt.Sprintf("job %d: %s", i, err)})
+				} else {
+					s.writeSchedulingError(w, r, fmt.Errorf("job %d: %w", i, err))
+				}
+				return
+			}
+			jr := buildScheduleResponse(job.algo, snap.Version, sched, 0, retries)
+			// Later jobs must see this job's placements: reserve them
+			// into the working snapshot before moving on.
+			for _, pl := range sched.Tasks {
+				if pl.End <= pl.Start {
+					continue
+				}
+				if err := snap.Avail.Reserve(pl.Start, pl.End, pl.Procs); err != nil {
+					// A schedule that does not fit the snapshot it was
+					// computed from is an internal fault.
+					s.writeJSON(w, http.StatusInternalServerError,
+						api.Error{Error: fmt.Sprintf("job %d: staging placements: %s", i, err)})
 					return
 				}
-				jr := buildScheduleResponse(job.algo, snap.Version, sched, 0, retries)
-				// Later jobs must see this job's placements: reserve
-				// them into the working snapshot before moving on.
-				for _, pl := range sched.Tasks {
-					if pl.End <= pl.Start {
-						continue
-					}
-					if err := avail.Reserve(pl.Start, pl.End, pl.Procs); err != nil {
-						// A schedule that does not fit the snapshot it
-						// was computed from is an internal fault.
-						s.writeJSON(w, http.StatusInternalServerError,
-							api.Error{Error: fmt.Sprintf("job %d: staging placements: %s", i, err)})
-						failed = true
-						return
-					}
-					reqs = append(reqs, resbook.Request{Start: pl.Start, End: pl.End, Procs: pl.Procs})
-					perJob[i]++
-				}
-				resp.Jobs = append(resp.Jobs, jr)
+				reqs = append(reqs, resbook.Request{Start: pl.Start, End: pl.End, Procs: pl.Procs})
+				perJob[i]++
 			}
-		})
-		if failed {
-			return
+			resp.Jobs = append(resp.Jobs, jr)
 		}
 		if !req.Commit {
 			s.writeJSON(w, http.StatusOK, resp)

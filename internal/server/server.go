@@ -71,12 +71,6 @@ type Server struct {
 	// second clone-into against per-Scheduler scratch.
 	profPool sync.Pool
 
-	// treePool recycles the tree-backed profiles the commit loop
-	// reloads from large snapshots (profile.AutoTreeThreshold segments
-	// or more), keeping the O(log n) backend's node arenas across
-	// requests the same way profPool keeps the flat arrays.
-	treePool sync.Pool
-
 	// encPool recycles response staging buffers with their bound JSON
 	// encoders; binPool recycles the byte slices the binary codec
 	// appends into. Both follow the borrow discipline poolescape
@@ -120,7 +114,6 @@ func New(cfg Config) (*Server, error) {
 		log:     log,
 	}
 	s.profPool.New = func() any { return &profile.Profile{} }
-	s.treePool.New = func() any { return &profile.TreeProfile{} }
 	s.encPool.New = func() any {
 		e := &encBuf{}
 		e.enc = json.NewEncoder(&e.buf)

@@ -74,12 +74,10 @@ type (
 	Profile     = profile.Profile
 	Reservation = profile.Reservation
 	// Intervals is the backend-neutral availability-profile interface:
-	// both the flat Profile and the O(log n) TreeProfile satisfy it,
-	// and Env.Avail accepts either.
+	// both the flat Profile and the O(log n) copy-on-write treap that
+	// large reservation-book snapshots hand out satisfy it, and
+	// Env.Avail accepts either.
 	Intervals = profile.Intervals
-	// TreeProfile is the segment-tree profile backend, asymptotically
-	// faster on heavily fragmented reservation schedules.
-	TreeProfile = profile.TreeProfile
 
 	// Scheduler runs the paper's algorithms for one application.
 	Scheduler = core.Scheduler
