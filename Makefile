@@ -17,7 +17,7 @@ BENCH_PKGS ?= ./internal/cpa ./internal/core ./internal/profile ./internal/serve
 # default; override either variable to target another file, e.g.
 #   make bench BENCH_PR=PR4
 #   make bench BENCH_OUT=/tmp/scratch.json
-BENCH_PR ?= PR26
+BENCH_PR ?= PR28
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 BENCH_LABEL ?= optimized
 
@@ -26,7 +26,7 @@ BENCH_LABEL ?= optimized
 # allocs/op by more than BENCH_THRESHOLD percent.
 BENCH_BASE ?= BENCH_PR18.json
 BENCH_THRESHOLD ?= 15
-BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/core.BenchmarkTightestDeadline,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/resbook.BenchmarkEarliestPendingActivation,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
+BENCH_GATE ?= internal/cpa.BenchmarkAllocate,internal/cpa.BenchmarkAllocateExtend,internal/core.BenchmarkTightestDeadline,internal/profile.BenchmarkProfileScaling,internal/profile.BenchmarkFitsBatch,internal/resbook.BenchmarkSnapshot,internal/resbook.BenchmarkTransact,internal/resbook.BenchmarkEarliestPendingActivation,internal/server.BenchmarkSchedulePost,internal/server.BenchmarkScheduleThroughput,internal/lifecycle.BenchmarkReplay
 
 # How long each fuzz target runs in fuzz-smoke.
 FUZZTIME ?= 10s

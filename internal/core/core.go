@@ -242,12 +242,16 @@ func (s *Schedule) CPUHours() float64 { return model.CPUHours(s.ProcSeconds()) }
 // (backward order, CPA reference starts, candidate probes) per cluster
 // shape, so scheduling the same application against many reservation
 // instances — the shape of every experiment in the paper — and every
-// probe of a tightest-deadline search recompute neither.
+// probe of a tightest-deadline search recompute neither. It also keeps
+// its last CPA allocation-phase run, so the allocation for the machine
+// size P continues the one for the historical average q instead of
+// starting over.
 // A Scheduler is not safe for concurrent use.
 type Scheduler struct {
 	g          *dag.Graph
 	stop       cpa.StopRule
 	allocCache map[int][]int
+	run        *cpa.Run            // the run behind the latest fresh or extended allocation
 	plans      map[planKey]*dlPlan // created on the first deadline call
 
 	// Scratch buffers reused across calls, keeping the per-task
@@ -280,16 +284,23 @@ func NewSchedulerRule(g *dag.Graph, rule cpa.StopRule) (*Scheduler, error) {
 func (s *Scheduler) Graph() *dag.Graph { return s.g }
 
 // cpaAlloc returns (and caches) the CPA allocation for a cluster of
-// q processors.
-func (s *Scheduler) cpaAlloc(q int) ([]int, error) {
-	if a, ok := s.allocCache[q]; ok {
+// n processors. An uncached n larger than the kept run's size extends
+// that run when cpa.Run.Extend proves the result equal to a fresh run;
+// otherwise a fresh run computes it and becomes the kept one. Cached
+// vectors are never written again.
+func (s *Scheduler) cpaAlloc(n int) ([]int, error) {
+	if a, ok := s.allocCache[n]; ok {
 		return a, nil
 	}
-	a, err := cpa.Allocate(s.g, q, s.stop)
-	if err != nil {
-		return nil, err
+	if s.run == nil || !s.run.Extend(n) {
+		r, err := cpa.NewRun(s.g, n, s.stop)
+		if err != nil {
+			return nil, err
+		}
+		s.run = r
 	}
-	s.allocCache[q] = a
+	a := s.run.Alloc()
+	s.allocCache[n] = a
 	return a, nil
 }
 

@@ -9,9 +9,12 @@
 // processor and repeatedly grants one more processor to the
 // critical-path task that profits most, until the critical path length
 // T_CP no longer exceeds the average area T_A = (1/P)·Σ m(t)·T(t,m(t)).
-// The mapping phase list-schedules tasks in decreasing bottom-level
-// order (PriorityOrder) onto the cluster; core replays it for the
-// reference start times, and ListSchedule (reference.go) is its oracle.
+// A finished run for P processors is usually the first part of the run
+// for a larger P', so Run.Extend continues it when it can prove that
+// (DESIGN.md §19). The mapping phase list-schedules tasks in decreasing
+// bottom-level order (PriorityOrder) onto the cluster; core replays it
+// for the reference start times, and ListSchedule (reference.go) is its
+// oracle.
 //
 // The paper uses the improved stopping criterion of N'Takpé, Suter &
 // Casanova (ISPDC 2007), which curbs CPA's tendency to over-allocate.
@@ -30,6 +33,7 @@ package cpa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"resched/internal/dag"
@@ -75,7 +79,8 @@ func (r StopRule) String() string {
 const cpTolerance = 1e-6
 
 // Allocate runs the CPA allocation phase for a cluster of p processors
-// and returns the per-task processor counts, each in [1, p].
+// and returns the per-task processor counts, each in [1, p]. It is
+// NewRun(g, p, rule).Alloc().
 //
 // The refinement loop is incremental: bottom and top levels are
 // maintained by worklist propagation from the single task whose
@@ -86,6 +91,17 @@ const cpTolerance = 1e-6
 // implementation (reference.go) is the differential-test oracle:
 // both produce identical allocation vectors.
 func Allocate(g *dag.Graph, p int, rule StopRule) ([]int, error) {
+	r, err := NewRun(g, p, rule)
+	if err != nil {
+		return nil, err
+	}
+	return r.alloc, nil
+}
+
+// NewRun runs the CPA allocation phase for a cluster of p processors
+// and keeps its state, so that Extend can continue it for a larger
+// cluster instead of starting over.
+func NewRun(g *dag.Graph, p int, rule StopRule) (*Run, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("cpa: cluster size %d < 1", p)
 	}
@@ -96,10 +112,52 @@ func Allocate(g *dag.Graph, p int, rule StopRule) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newAllocState(g, topo, p, rule)
+	r := newRun(g, topo, p, rule)
+	r.refine()
+	return r, nil
+}
+
+// Alloc returns the run's allocation vector. It is never written
+// again: Extend grants into a copy.
+func (st *Run) Alloc() []int { return st.alloc }
+
+// Extend continues the run as the run for p processors and reports
+// whether it did. It refuses, leaving the run untouched, when p is not
+// larger than the run's size or when some task sits at a cap that p
+// would raise. Otherwise the continued run is exactly what
+// NewRun(g, p, rule) computes: the cluster size enters the loop only
+// in the stopping test and the caps, and allocations only grow, so a
+// task that is not held back at the end was held back at no step
+// (DESIGN.md §19). Extend grants into a copy of the allocation
+// vector, so a vector Alloc returned earlier never changes.
+func (st *Run) Extend(p int) bool {
+	if p <= st.p {
+		return false
+	}
+	for i, a := range st.alloc {
+		if a >= st.caps[i] && taskCap(st.stringent, st.g.Task(i).Alpha, p) > st.caps[i] {
+			return false
+		}
+	}
+	for i := range st.caps {
+		st.caps[i] = taskCap(st.stringent, st.g.Task(i).Alpha, p)
+	}
+	st.alloc = slices.Clone(st.alloc)
+	st.p = p
+	st.refine()
+	return true
+}
+
+// refine is the allocation phase's loop: grant one processor to the
+// best critical-path candidate until T_CP no longer exceeds T_A or no
+// candidate can grow.
+//
+//reschedvet:hotpath
+func (st *Run) refine() {
+	p := float64(st.p)
 	for {
 		cp := st.criticalPath()
-		if !(cp > st.area/float64(p)) {
+		if !(cp > st.area/p) {
 			break // T_CP no longer exceeds T_A
 		}
 		t := st.bestCandidate(cp)
@@ -108,13 +166,13 @@ func Allocate(g *dag.Graph, p int, rule StopRule) ([]int, error) {
 		}
 		st.grow(t)
 	}
-	return st.alloc, nil
 }
 
-// allocState is the incrementally maintained state of one allocation
-// phase run.
-type allocState struct {
+// Run is the incrementally maintained state of one allocation-phase
+// run for a cluster of p processors.
+type Run struct {
 	g       *dag.Graph
+	p       int
 	alloc   []int
 	caps    []int
 	exec    []float64 // unrounded Amdahl time at the current allocation
@@ -151,29 +209,33 @@ type allocState struct {
 	bucketBuf []int32 // flat dirty-task storage, len n
 	bucketCnt []int32 // live entries per depth, len maxDepth+1
 	inDirty   []bool
-	pending   int // total tasks currently marked dirty
+	pending   int32 // total tasks currently marked dirty
+
+	// stringent says the caps are efficiency caps (StopStringent), not
+	// p. It shares pending's word, which keeps Run in the 416-byte size
+	// class (TestRunLayout).
+	stringent bool
 }
 
-func newAllocState(g *dag.Graph, topo []int, p int, rule StopRule) *allocState {
+func newRun(g *dag.Graph, topo []int, p int, rule StopRule) *Run {
 	n := g.NumTasks()
-	st := &allocState{
-		g:       g,
-		alloc:   g.UniformAlloc(1),
-		caps:    make([]int, n),
-		exec:    make([]float64, n),
-		bl:      make([]float64, n),
-		tl:      make([]float64, n),
-		maxSucc: make([]float64, n),
-		gain:    make([]float64, n),
+	st := &Run{
+		g:         g,
+		p:         p,
+		stringent: rule == StopStringent,
+		alloc:     g.UniformAlloc(1),
+		caps:      make([]int, n),
+		exec:      make([]float64, n),
+		bl:        make([]float64, n),
+		tl:        make([]float64, n),
+		maxSucc:   make([]float64, n),
+		gain:      make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		task := g.Task(i)
 		st.exec[i] = model.ExecSeconds(task.Seq, task.Alpha, 1)
 		st.gain[i] = model.Gain(task.Seq, task.Alpha, 1)
-		st.caps[i] = p
-		if rule == StopStringent {
-			st.caps[i] = allocCap(task.Alpha, p)
-		}
+		st.caps[i] = taskCap(st.stringent, task.Alpha, p)
 		st.area += st.exec[i] // alloc is uniformly 1
 	}
 
@@ -247,7 +309,7 @@ func newAllocState(g *dag.Graph, topo []int, p int, rule StopRule) *allocState {
 // mark flags a task for level recomputation, once.
 //
 //reschedvet:hotpath
-func (st *allocState) mark(t int32) {
+func (st *Run) mark(t int32) {
 	if st.inDirty[t] {
 		return
 	}
@@ -260,10 +322,10 @@ func (st *allocState) mark(t int32) {
 
 // criticalPath returns T_CP, the largest bottom level. It must stay a
 // leaf loop: it runs once per refinement iteration and the inliner
-// keeps it inside Allocate's loop.
+// keeps it inside refine's loop.
 //
 //reschedvet:hotpath
-func (st *allocState) criticalPath() float64 {
+func (st *Run) criticalPath() float64 {
 	var cp float64
 	for _, v := range st.bl {
 		if v > cp {
@@ -276,10 +338,10 @@ func (st *allocState) criticalPath() float64 {
 // bestCandidate returns the critical-path task with the largest
 // per-processor gain whose allocation can still grow within its cap,
 // or -1. Gains are read from the cache, never recomputed here. Like
-// criticalPath it must stay a leaf loop so it inlines into Allocate.
+// criticalPath it must stay a leaf loop so it inlines into refine.
 //
 //reschedvet:hotpath
-func (st *allocState) bestCandidate(cp float64) int {
+func (st *Run) bestCandidate(cp float64) int {
 	best := -1
 	var bestGain float64
 	for i := range st.bl {
@@ -298,7 +360,7 @@ func (st *allocState) bestCandidate(cp float64) int {
 // the levels of the tasks its change can reach.
 //
 //reschedvet:hotpath
-func (st *allocState) grow(t int) {
+func (st *Run) grow(t int) {
 	task := st.g.Task(t)
 	old := st.exec[t]
 	oldContrib := st.tl[t] + old // t's contribution to its successors' tl
@@ -327,7 +389,7 @@ func (st *allocState) grow(t int) {
 // chains instead of the full ancestor cone.
 //
 //reschedvet:hotpath
-func (st *allocState) repairBL(t int) {
+func (st *Run) repairBL(t int) {
 	st.mark(int32(t))
 	bl, maxSucc := st.bl, st.maxSucc
 	for d := st.depth[t]; st.pending > 0; d-- {
@@ -336,7 +398,7 @@ func (st *allocState) repairBL(t int) {
 			continue
 		}
 		st.bucketCnt[d] = 0
-		st.pending -= int(c)
+		st.pending -= c
 		off := st.depthOff[d]
 		for _, u := range st.bucketBuf[off : off+c] {
 			st.inDirty[u] = false
@@ -370,7 +432,7 @@ func (st *allocState) repairBL(t int) {
 // old contribution equals the successor's tl.
 //
 //reschedvet:hotpath
-func (st *allocState) drainTL(from int32) {
+func (st *Run) drainTL(from int32) {
 	tl, exec := st.tl, st.exec
 	for d := from; st.pending > 0; d++ {
 		c := st.bucketCnt[d]
@@ -378,7 +440,7 @@ func (st *allocState) drainTL(from int32) {
 			continue
 		}
 		st.bucketCnt[d] = 0
-		st.pending -= int(c)
+		st.pending -= c
 		off := st.depthOff[d]
 		for _, u := range st.bucketBuf[off : off+c] {
 			st.inDirty[u] = false
@@ -400,6 +462,15 @@ func (st *allocState) drainTL(from int32) {
 			}
 		}
 	}
+}
+
+// taskCap returns a task's allocation cap on p processors: the
+// efficiency cap under StopStringent, p under StopClassic.
+func taskCap(stringent bool, alpha float64, p int) int {
+	if stringent {
+		return allocCap(alpha, p)
+	}
+	return p
 }
 
 // allocCap returns the largest allocation keeping a task's Amdahl

@@ -26,6 +26,38 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocateExtend prices what a Scheduler pays for the
+// allocations for q and P on BenchmarkAllocate's graph: `fresh` runs
+// the allocation phase twice from scratch, `extend` continues the run
+// for q into the run for P.
+func BenchmarkAllocateExtend(b *testing.B) {
+	g := daggen.MustGenerate(daggen.Default(), rand.New(rand.NewSource(1)))
+	const q, p = 193, 1152
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Allocate(g, q, StopStringent); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Allocate(g, p, StopStringent); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("extend", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run, err := NewRun(g, q, StopStringent)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !run.Extend(p) {
+				b.Fatal("the run for q cannot be extended to P on this graph")
+			}
+		}
+	})
+}
+
 // BenchmarkAllocateWide tracks the allocation phase on width-heavy
 // DAGs, where the refinement loop runs many iterations and the cost of
 // recomputing levels from scratch dominates. This is the headline

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"resched/internal/dag"
 	"resched/internal/daggen"
@@ -384,6 +385,15 @@ func TestListScheduleRandomValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunLayout pins Run to the 416-byte size class it had as the
+// loop's private state: every request allocates one, and the cluster
+// size Extend needs must not push it into the next class.
+func TestRunLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Run{}); sz > 416 {
+		t.Fatalf("Run is %d bytes, over the 416-byte size class", sz)
 	}
 }
 
