@@ -17,6 +17,7 @@ package multicluster
 
 import (
 	"fmt"
+	"math"
 
 	"resched/internal/core"
 	"resched/internal/cpa"
@@ -63,10 +64,16 @@ type Env struct {
 	Now      model.Time
 }
 
-// validate returns per-site effective q values.
-func (e *Env) validate() ([]int, error) {
+// validate returns per-site effective q values. g is the application
+// the sites will run: a speed is rejected when g's longest task, scaled
+// to it, would not fit the scheduling horizon.
+func (e *Env) validate(g *dag.Graph) ([]int, error) {
 	if len(e.Clusters) == 0 {
 		return nil, fmt.Errorf("multicluster: no clusters")
+	}
+	var maxSeq model.Duration
+	for i := 0; i < g.NumTasks(); i++ {
+		maxSeq = max(maxSeq, g.Task(i).Seq)
 	}
 	qs := make([]int, len(e.Clusters))
 	for i, c := range e.Clusters {
@@ -79,8 +86,11 @@ func (e *Env) validate() ([]int, error) {
 		if c.Avail.Origin() > e.Now {
 			return nil, fmt.Errorf("multicluster: cluster %q profile starts after now", c.Name)
 		}
-		if c.Speed < 0 || c.Speed != c.Speed {
+		if c.Speed < 0 || math.IsNaN(c.Speed) || math.IsInf(c.Speed, 0) {
 			return nil, fmt.Errorf("multicluster: cluster %q has invalid speed %v", c.Name, c.Speed)
+		}
+		if c.Speed != 0 && float64(maxSeq)/c.Speed >= float64(model.Infinity) {
+			return nil, fmt.Errorf("multicluster: cluster %q speed %v stretches a %d s task beyond the scheduling horizon", c.Name, c.Speed, maxSeq)
 		}
 		q := c.Q
 		if q == 0 {
@@ -189,7 +199,7 @@ func Turnaround(g *dag.Graph, env Env, opt Options) (*Schedule, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	qs, err := env.validate()
+	qs, err := env.validate(g)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +293,7 @@ func Deadline(g *dag.Graph, env Env, opt Options, deadline model.Time) (*Schedul
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	qs, err := env.validate()
+	qs, err := env.validate(g)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +407,7 @@ func siteBounds(g *dag.Graph, env Env, qs []int, policy AllocPolicy) ([][]int, e
 // sites, durations match the model, staging-aware precedence holds,
 // and each site's reservations fit its profile.
 func Verify(g *dag.Graph, env Env, s *Schedule, opt Options) error {
-	if _, err := env.validate(); err != nil {
+	if _, err := env.validate(g); err != nil {
 		return err
 	}
 	if s == nil || len(s.Tasks) != g.NumTasks() {

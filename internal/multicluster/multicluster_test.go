@@ -1,7 +1,10 @@
 package multicluster
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,11 +147,44 @@ func TestHeterogeneousSpeedScaling(t *testing.T) {
 }
 
 func TestHeterogeneousValidation(t *testing.T) {
-	g := chainGraph(1, model.Hour, 1)
-	env := twoSites(4, 4, 0)
-	env.Clusters[0].Speed = -1
-	if _, err := Turnaround(g, env, Options{}); err == nil {
-		t.Fatal("negative speed accepted")
+	g := chainGraph(1, 100, 1)
+	for _, tc := range []struct {
+		speed float64
+		ok    bool
+	}{
+		{0, true},
+		{1, true},
+		{4, true},
+		{1e-9, true}, // 100 s becomes 1e11 s: slow, but on the horizon
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{1e-300, false}, // 100 s would become 1e302 s and overflow int64
+	} {
+		env := twoSites(4, 4, 0)
+		env.Clusters[0].Speed = tc.speed
+		sched, err := Turnaround(g, env, Options{})
+		if tc.ok {
+			if err != nil {
+				t.Errorf("speed %v: %v", tc.speed, err)
+				continue
+			}
+			if err := Verify(g, env, sched, Options{}); err != nil {
+				t.Errorf("speed %v: %v", tc.speed, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("speed %v accepted: tasks run %d s", tc.speed, sched.Tasks[0].End-sched.Tasks[0].Start)
+			continue
+		}
+		if name := env.Clusters[0].Name; !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("speed %v: error %q does not name site %q", tc.speed, err, name)
+		}
+		if _, err := Deadline(g, env, Options{}, model.Hour); err == nil {
+			t.Errorf("speed %v accepted by Deadline", tc.speed)
+		}
 	}
 }
 
