@@ -85,12 +85,27 @@ func TestE2EFindingsExitOne(t *testing.T) {
 }
 
 func TestE2EIgnoreDirectiveSuppresses(t *testing.T) {
-	out, code := runVet(t, "ignored")
+	out, code := runVet(t, "ignored", "./internal/server")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0 (directive should suppress)\n%s", code, out)
 	}
 	if strings.Contains(out, "errdrop") {
 		t.Errorf("suppressed finding still reported:\n%s", out)
+	}
+}
+
+// An ignore naming an analyzer the suite does not have (here one that
+// was deleted) silences nothing and is reported where it stands.
+func TestE2EUnknownIgnoreReported(t *testing.T) {
+	out, code := runVet(t, "ignored")
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1 (unknown analyzer in an ignore)\n%s", code, out)
+	}
+	if !strings.Contains(out, "internal/stale/stale.go:7:") || !strings.Contains(out, `names no analyzer: "lockcycle"`) {
+		t.Errorf("unknown ignore not reported at its line:\n%s", out)
+	}
+	if strings.Contains(out, "errdrop") {
+		t.Errorf("a valid ignore stopped suppressing:\n%s", out)
 	}
 }
 
@@ -116,7 +131,7 @@ func TestE2EListExitsClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, out)
 	}
-	for _, name := range []string{"snapshotmut", "lockhold", "errdrop", "wgleak", "guardedby", "atomicmix", "hotpath", "lockcycle", "chanflow"} {
+	for _, name := range []string{"refguard", "ctxflow", "modeexhaustive", "lockhold", "errdrop", "wgleak", "guardedby", "atomicmix", "hotpath", "chanflow"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
@@ -205,7 +220,7 @@ func TestE2EJSONFindings(t *testing.T) {
 		}
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"errdrop", "lockcycle", "chanflow", "guardedby"} {
+	for _, want := range []string{"errdrop", "lockhold", "guardedby", "ignore"} {
 		if !ruleIDs[want] {
 			t.Errorf("rules missing %s", want)
 		}
@@ -237,7 +252,7 @@ func TestE2EJSONFindings(t *testing.T) {
 }
 
 func TestE2EJSONCleanHasEmptyResults(t *testing.T) {
-	stdout, _, code := runVetStdout(t, "ignored", "-json")
+	stdout, _, code := runVetStdout(t, "ignored", "-json", "./internal/server")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, stdout)
 	}
@@ -256,7 +271,7 @@ func TestE2EJSONCleanHasEmptyResults(t *testing.T) {
 }
 
 func TestE2EFactsDump(t *testing.T) {
-	out, code := runVet(t, "ignored", "-facts")
+	out, code := runVet(t, "ignored", "-facts", "./internal/server")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, out)
 	}

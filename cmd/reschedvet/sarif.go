@@ -72,10 +72,12 @@ type sarifRegion struct {
 // plain-text output's paths. Results keep RunAnalyzersFacts's
 // deterministic order.
 func writeSARIF(w io.Writer, cwd string, diags []analysis.Diagnostic) error {
-	rules := make([]sarifRule, len(analyzers))
-	for i, a := range analyzers {
-		rules[i] = sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}}
+	rules := make([]sarifRule, 0, len(analyzers)+1)
+	for _, a := range analyzers {
+		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
 	}
+	rules = append(rules, sarifRule{ID: analysis.IgnoreCheck,
+		ShortDescription: sarifText{Text: "a //reschedvet:ignore directive names an analyzer of this run"}})
 	results := make([]sarifResult, len(diags))
 	for i, d := range diags {
 		results[i] = sarifResult{

@@ -1,18 +1,10 @@
 // Package analysis is a small, dependency-free static-analysis
 // framework modeled on golang.org/x/tools/go/analysis (which is not
 // vendored here; the toolchain image carries only the standard
-// library). It exists to enforce, on every build, the domain
-// invariants that PR 1 and PR 2 introduced by convention:
-//
-//   - naive reference implementations are differential-test oracles,
-//     never serving code (refguard);
-//   - pooled scratch objects must not escape their request (poolescape);
-//   - serving code calls the validated *Checked profile entry points,
-//     not the panicking fast paths (checkedentry);
-//   - scheduling loops below the HTTP handler thread the request
-//     context (ctxflow);
-//   - switches over the scheduler-mode and reservation-lifecycle
-//     enums are exhaustive or fail loudly (modeexhaustive).
+// library). It enforces, on every build, the domain invariants that
+// tests, -race and go vet do not: the analyzers under it are the ones
+// that killed a seeded fault nothing else killed (`make mutants`,
+// DESIGN.md §20).
 //
 // The cmd/reschedvet multichecker loads packages with Load, runs every
 // analyzer with RunAnalyzers, and exits non-zero on any diagnostic;
@@ -24,7 +16,8 @@
 //	//reschedvet:ignore ctxflow reason for the exception
 //
 // Naming one or more analyzers suppresses only those; a bare
-// directive suppresses every analyzer on that line.
+// directive suppresses every analyzer on that line. A directive whose
+// first word names no analyzer of the run is itself a finding.
 package analysis
 
 import (
@@ -35,6 +28,16 @@ import (
 	"path/filepath"
 	"strings"
 )
+
+// ServingPackages are the packages between the HTTP surface and the
+// reservation book, where ctxflow and errdrop apply. The batch
+// schedulers (internal/core and below) run without a request.
+var ServingPackages = map[string]bool{
+	"resched/internal/server":    true,
+	"resched/internal/api":       true,
+	"resched/internal/resbook":   true,
+	"resched/internal/lifecycle": true,
+}
 
 // Analyzer is one named check. Run inspects a single package through
 // its Pass and reports findings via Pass.Reportf.
@@ -91,19 +94,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 		return false
 	}
 	return p.facts.Import(obj, f)
-}
-
-// AllObjectFacts enumerates every fact this analyzer has exported so
-// far across the run, in the deterministic FactSet.All order. Because
-// packages are analyzed in import order, by the time a package runs
-// this is the union of its own exports and those of every transitive
-// dependency — the substrate for whole-module compositions (lockcycle
-// assembles the global lock-order graph from it).
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.All()
 }
 
 // Diagnostic is one finding.
@@ -195,16 +185,4 @@ func HasMethod(named *types.Named, name string) bool {
 		}
 	}
 	return false
-}
-
-// UsesVar reports whether any identifier inside node resolves to v.
-func UsesVar(info *types.Info, node ast.Node, v *types.Var) bool {
-	found := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -8,6 +8,5 @@ import (
 )
 
 func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata", atomicmix.Analyzer,
-		"resched/internal/stats", "resched/internal/server", "resched/internal/resbook")
+	analysistest.Run(t, "testdata", atomicmix.Analyzer, "resched/internal/server")
 }

@@ -6,9 +6,8 @@ import (
 )
 
 // CFG is a per-function control-flow graph over basic blocks, the
-// substrate of the flow-sensitive analyzers (lockhold's lock-held
-// regions, snapshotmut's alias tracking, errdrop's dead error
-// definitions). It is built from syntax alone — no SSA — which keeps
+// substrate of the flow-sensitive analyzers (lockhold's and
+// guardedby's locksets, errdrop's dead error definitions). It is built from syntax alone — no SSA — which keeps
 // it small but means analyses must themselves resolve names through
 // go/types.
 //

@@ -8,11 +8,5 @@ import (
 )
 
 func TestChanFlow(t *testing.T) {
-	// resbook first so its closes-contract facts are visible when the
-	// server fixture (its importer) is judged; lifecycle is
-	// independent.
-	analysistest.Run(t, "testdata", chanflow.Analyzer,
-		"resched/internal/resbook",
-		"resched/internal/server",
-		"resched/internal/lifecycle")
+	analysistest.Run(t, "testdata", chanflow.Analyzer, "resched/internal/lifecycle")
 }

@@ -1,58 +1,38 @@
-// Package lifecycle mirrors the event-loop shapes: the select-driven
-// engine loop (with a dead branch on a never-armed channel), the
-// nil-to-disable idiom that must stay clean, and the
-// goroutine-sends-launcher-receives handoff.
+// Package lifecycle is a chanflow fixture: a driving loop whose wake-up
+// channel is never made, next to the armed-timeout idiom that must
+// stay clean.
 package lifecycle
 
-import "context"
+import "time"
 
 type Engine struct {
-	events chan int
-	stop   chan struct{}
+	stop chan struct{}
 }
 
-// loop declares idle and never arms it: the branch is on a nil channel
-// forever and never fires.
-func (e *Engine) loop() {
-	var idle chan int
+func (e *Engine) run(tick time.Duration) {
+	var wake chan struct{}
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
 	for {
 		select {
-		case v := <-e.events:
-			_ = v
-		case <-idle: // want "select case on nil channel idle never fires"
-			return
 		case <-e.stop:
 			return
+		case <-ticker.C:
+		case <-wake: // want "select case on nil channel wake never fires"
 		}
 	}
 }
 
-// armedTimeout assigns the channel on one path — the deliberate
-// nil-disables-the-case idiom stays unflagged (negative).
-func (e *Engine) armedTimeout(enable bool) {
-	var timeout chan int
-	if enable {
-		timeout = make(chan int, 1)
+// wait arms its timeout on one path only; the assignment keeps it
+// clean, and so does a send case on a made channel.
+func (e *Engine) wait(d time.Duration, out chan int) {
+	var timeout <-chan time.Time
+	if d > 0 {
+		timeout = time.After(d)
 	}
 	select {
+	case <-e.stop:
 	case <-timeout:
-	case <-e.stop:
-	}
-}
-
-// handoff: the launched goroutine sends, the launcher receives
-// (negative for the orphan check).
-func handoff() int {
-	out := make(chan int)
-	go func() { out <- 42 }()
-	return <-out
-}
-
-// wait selects on a context Done call — not a tracked channel variable,
-// so nothing to say (negative).
-func wait(ctx context.Context, e *Engine) {
-	select {
-	case <-e.stop:
-	case <-ctx.Done():
+	case out <- 1:
 	}
 }

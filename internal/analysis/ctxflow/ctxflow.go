@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"resched/internal/analysis"
-	"resched/internal/analysis/checkedentry"
 )
 
 // corePackage is where the scheduling loops and their *Ctx siblings
@@ -21,8 +20,7 @@ import (
 const corePackage = "resched/internal/core"
 
 // Analyzer flags context.Background/context.TODO and non-Ctx
-// scheduling entry points inside the serving packages (the same set
-// checkedentry guards).
+// scheduling entry points inside analysis.ServingPackages.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "serving code must thread the request context: no context.Background/TODO below " +
@@ -31,7 +29,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if !checkedentry.ServingPackages[pass.Pkg.Path()] {
+	if !analysis.ServingPackages[pass.Pkg.Path()] {
 		return nil
 	}
 	for id, obj := range pass.TypesInfo.Uses {

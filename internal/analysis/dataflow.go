@@ -7,415 +7,10 @@ import (
 	"sort"
 )
 
-// This file is the def-use/dataflow layer over the CFG: a forward
-// "taint" engine that tracks an analyzer-defined bitmask per local
-// variable (snapshotmut's alias provenance, and anything else shaped
-// like may-reach), and a backward liveness pass that finds dead
-// definitions (errdrop's assigned-but-never-checked errors). Both are
-// may-analyses: paths merge by union, so a property holds at a point
-// if it holds on any path reaching it.
-
-// Mask is an analyzer-defined taint bitmask. Zero means untainted.
-type Mask uint32
-
-// TaintSpec configures RunTaint.
-type TaintSpec struct {
-	Info *types.Info
-	// CallMask gives the taint of a non-builtin call's results; nil
-	// means calls return no taint. The state argument allows the hook
-	// to consult argument masks.
-	CallMask func(call *ast.CallExpr, st *TaintState) Mask
-	// InitMask seeds variables that have not been assigned in the
-	// function: parameters, receivers, captured and package-level
-	// variables. Nil means zero.
-	InitMask func(v *types.Var) Mask
-}
-
-// TaintState is the per-program-point taint environment handed to the
-// visit callback.
-type TaintState struct {
-	spec *TaintSpec
-	m    map[*types.Var]Mask
-}
-
-// VarMask returns v's current taint.
-func (st *TaintState) VarMask(v *types.Var) Mask {
-	if m, ok := st.m[v]; ok {
-		return m
-	}
-	if st.spec.InitMask != nil {
-		return st.spec.InitMask(v) & typeClamp(v.Type())
-	}
-	return 0
-}
-
-// typeClamp returns the mask-preserving filter for a type: a value
-// whose type cannot carry references (no pointers, slices, maps,
-// channels, interfaces, or funcs anywhere inside) cannot alias
-// anything, so its taint is dropped.
-func typeClamp(t types.Type) Mask {
-	if RefBearing(t) {
-		return ^Mask(0)
-	}
-	return 0
-}
-
-// RefBearing reports whether values of t can carry references to
-// shared memory. Basic types, strings (immutable), and structs/arrays
-// of such cannot; pointers, slices, maps, channels, interfaces, and
-// funcs (closures) can, directly or via fields.
-func RefBearing(t types.Type) bool {
-	return refBearing(t, map[types.Type]bool{})
-}
-
-func refBearing(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false // recursive types recur only through pointers, caught earlier
-	}
-	seen[t] = true
-	switch t := t.Underlying().(type) {
-	case *types.Basic:
-		return false
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
-	case *types.Array:
-		return refBearing(t.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if refBearing(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-		return false
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if refBearing(t.At(i).Type(), seen) {
-				return true
-			}
-		}
-		return false
-	default:
-		return true // unknown: assume it can alias
-	}
-}
-
-// ExprMask computes the taint of an expression from the current
-// state: identifiers read their variable, derivation forms (index,
-// slice, selector, deref, address-of, composite literal, append)
-// propagate their operands, calls defer to the CallMask hook, and
-// fresh allocations (make, new, literals of basic type) are clean.
-func (st *TaintState) ExprMask(e ast.Expr) Mask {
-	m := st.rawMask(e)
-	if m == 0 {
-		return 0
-	}
-	if t := st.spec.Info.TypeOf(e); t != nil {
-		m &= typeClamp(t)
-	}
-	return m
-}
-
-// BaseMask is ExprMask without the final value-copy clamp: the
-// provenance of the memory an lvalue expression designates. Use it on
-// store targets — for `segs[i].Free = 0` the stored-to int cannot
-// itself carry references, but the store still writes memory reached
-// through segs, and that provenance is what BaseMask reports.
-func (st *TaintState) BaseMask(e ast.Expr) Mask {
-	return st.rawMask(e)
-}
-
-func (st *TaintState) rawMask(e ast.Expr) Mask {
-	switch e := e.(type) {
-	case *ast.Ident:
-		if v, ok := identVar(st.spec.Info, e); ok {
-			return st.VarMask(v)
-		}
-		return 0
-	case *ast.ParenExpr:
-		return st.rawMask(e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return st.rawMask(e.X)
-		}
-		return 0 // <-ch, arithmetic: value provenance unknown/fresh
-	case *ast.StarExpr:
-		return st.rawMask(e.X)
-	case *ast.IndexExpr:
-		return st.rawMask(e.X)
-	case *ast.IndexListExpr:
-		return st.rawMask(e.X)
-	case *ast.SliceExpr:
-		return st.rawMask(e.X)
-	case *ast.SelectorExpr:
-		// Qualified identifiers (pkg.Var) resolve like identifiers;
-		// field selections derive from their operand.
-		if obj, ok := st.spec.Info.Uses[e.Sel]; ok {
-			if _, isPkg := st.spec.Info.Uses[rootIdent(e.X)].(*types.PkgName); isPkg {
-				if v, ok := obj.(*types.Var); ok {
-					return st.VarMask(v)
-				}
-				return 0
-			}
-		}
-		return st.rawMask(e.X)
-	case *ast.TypeAssertExpr:
-		return st.rawMask(e.X)
-	case *ast.CompositeLit:
-		var m Mask
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			m |= st.ExprMask(elt)
-		}
-		return m
-	case *ast.CallExpr:
-		return st.callMask(e)
-	default:
-		return 0
-	}
-}
-
-func (st *TaintState) callMask(call *ast.CallExpr) Mask {
-	info := st.spec.Info
-	// Conversions derive from their operand.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			return st.rawMask(call.Args[0])
-		}
-		return 0
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
-				// The result shares the first argument's backing array
-				// (when capacity suffices) and holds the appended
-				// elements. An ellipsis argument contributes element
-				// *copies*, so its taint is clamped by the element
-				// type: append([]T(nil), s...) of value elements is a
-				// clean deep copy, the idiom Clone uses.
-				m := st.ExprMask(call.Args[0])
-				for i, a := range call.Args[1:] {
-					am := st.ExprMask(a)
-					if call.Ellipsis.IsValid() && i == len(call.Args)-2 {
-						if t := st.spec.Info.TypeOf(a); t != nil {
-							if sl, ok := t.Underlying().(*types.Slice); ok {
-								am &= typeClamp(sl.Elem())
-							}
-						}
-					}
-					m |= am
-				}
-				return m
-			case "min", "max":
-				var m Mask
-				for _, a := range call.Args {
-					m |= st.ExprMask(a)
-				}
-				return m
-			default:
-				return 0 // make, new, len, cap, copy, delete, ...
-			}
-		}
-	}
-	if st.spec.CallMask != nil {
-		return st.spec.CallMask(call, st)
-	}
-	return 0
-}
-
-// identVar resolves an identifier to the variable it defines or uses.
-func identVar(info *types.Info, id *ast.Ident) (*types.Var, bool) {
-	if obj := info.Defs[id]; obj != nil {
-		v, ok := obj.(*types.Var)
-		return v, ok
-	}
-	v, ok := info.Uses[id].(*types.Var)
-	return v, ok
-}
-
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// setVar records an assignment, clamping by the variable's type.
-func (st *TaintState) setVar(v *types.Var, m Mask) {
-	st.m[v] = m & typeClamp(v.Type())
-}
-
-func (st *TaintState) clone() *TaintState {
-	m := make(map[*types.Var]Mask, len(st.m))
-	for k, v := range st.m {
-		m[k] = v
-	}
-	return &TaintState{spec: st.spec, m: m}
-}
-
-// merge folds other into st pointwise (union of masks). A key missing
-// from a state means the variable still holds its InitMask value on
-// that path, so one-sided keys union with the initial mask. Reports
-// whether st changed.
-func (st *TaintState) merge(other *TaintState) bool {
-	changed := false
-	update := func(v *types.Var, m Mask) {
-		if cur, ok := st.m[v]; !ok || cur|m != cur {
-			if !ok {
-				m |= st.VarMask(v) // missing here = init value on this side
-			} else {
-				m |= cur
-			}
-			if !ok || m != st.m[v] {
-				st.m[v] = m
-				changed = true
-			}
-		}
-	}
-	for v, m := range other.m {
-		update(v, m)
-	}
-	for v := range st.m {
-		if _, ok := other.m[v]; !ok {
-			update(v, other.VarMask(v)) // missing there = init value on that side
-		}
-	}
-	return changed
-}
-
-// transfer applies the variable definitions a block node makes.
-func (st *TaintState) transfer(n ast.Node) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		if len(n.Lhs) == len(n.Rhs) {
-			// Evaluate all RHS masks first: `a, b = b, a` swaps.
-			masks := make([]Mask, len(n.Rhs))
-			for i, rhs := range n.Rhs {
-				masks[i] = st.ExprMask(rhs)
-				if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-					masks[i] |= st.ExprMask(n.Lhs[i]) // op-assign reads the old value
-				}
-			}
-			for i, lhs := range n.Lhs {
-				st.assignTo(lhs, masks[i])
-			}
-			return
-		}
-		// Tuple form: one multi-value RHS; every target receives the
-		// call's mask (clamped per variable type).
-		var m Mask
-		if len(n.Rhs) == 1 {
-			m = st.rawMask(n.Rhs[0])
-		}
-		for _, lhs := range n.Lhs {
-			st.assignTo(lhs, m)
-		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				var m Mask
-				if len(vs.Values) == len(vs.Names) {
-					m = st.ExprMask(vs.Values[i])
-				} else if len(vs.Values) == 1 {
-					m = st.rawMask(vs.Values[0])
-				}
-				st.assignTo(name, m)
-			}
-		}
-	case *ast.RangeStmt:
-		m := st.ExprMask(n.X)
-		if n.Key != nil {
-			st.assignTo(n.Key, m)
-		}
-		if n.Value != nil {
-			st.assignTo(n.Value, m)
-		}
-	}
-}
-
-// assignTo updates the state for an assignment target. Only plain
-// identifiers change the environment; stores through expressions
-// (v[i] = x, p.f = x) mutate memory, which the visit hooks inspect,
-// not the variable binding.
-func (st *TaintState) assignTo(lhs ast.Expr, m Mask) {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	if v, ok := identVar(st.spec.Info, id); ok {
-		st.setVar(v, m)
-	}
-}
-
-// RunTaint runs the forward taint analysis to a fixed point over the
-// CFG and then replays it, calling visit for every block node with the
-// taint state in effect just before that node executes.
-func RunTaint(cfg *CFG, spec *TaintSpec, visit func(n ast.Node, st *TaintState)) {
-	n := len(cfg.Blocks)
-	if n == 0 {
-		return
-	}
-	// in[i] == nil is bottom ("no path reaches this block yet"); an
-	// empty non-nil state means every variable still holds its
-	// InitMask value. Only the entry starts non-bottom.
-	in := make([]*TaintState, n)
-	in[0] = &TaintState{spec: spec, m: map[*types.Var]Mask{}}
-	// Chaotic iteration to fixpoint; block order is already roughly
-	// topological (construction order), so this converges quickly.
-	for changed := true; changed; {
-		changed = false
-		for _, b := range cfg.Blocks {
-			if in[b.Index] == nil {
-				continue
-			}
-			out := in[b.Index].clone()
-			for _, node := range b.Nodes {
-				out.transfer(node)
-			}
-			for _, succ := range b.Succs {
-				if in[succ.Index] == nil {
-					in[succ.Index] = out.clone()
-					changed = true
-				} else if in[succ.Index].merge(out) {
-					changed = true
-				}
-			}
-		}
-	}
-	if visit == nil {
-		return
-	}
-	for _, b := range cfg.Blocks {
-		st := in[b.Index]
-		if st == nil {
-			st = &TaintState{spec: spec, m: map[*types.Var]Mask{}} // unreachable block
-		} else {
-			st = st.clone()
-		}
-		for _, node := range b.Nodes {
-			visit(node, st)
-			st.transfer(node)
-		}
-	}
-}
+// This file is the def-use layer over the CFG: a backward liveness
+// pass that finds dead definitions (errdrop's assigned-but-never-
+// checked errors). It is a may-analysis: paths merge by union, so a
+// variable is live at a point if some path from it reads the variable.
 
 // DeadDef is a definition whose value can never be read: every path
 // from the assignment reaches a re-definition or function exit without
@@ -594,4 +189,14 @@ func defsUses(n ast.Node, info *types.Info) (defs []DeadDef, uses []*types.Var) 
 		return true
 	})
 	return defs, uses
+}
+
+// identVar resolves an identifier to the variable it defines or uses.
+func identVar(info *types.Info, id *ast.Ident) (*types.Var, bool) {
+	if obj := info.Defs[id]; obj != nil {
+		v, ok := obj.(*types.Var)
+		return v, ok
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	return v, ok
 }

@@ -38,208 +38,6 @@ func checkFunc(t *testing.T, src, name string) (*ast.FuncDecl, *types.Info, *tok
 	return nil, nil, nil
 }
 
-// maskAtReturn runs the taint analysis and returns the mask of the
-// value returned by each return statement, in source order.
-func maskAtReturn(fd *ast.FuncDecl, spec *TaintSpec) []Mask {
-	cfg := NewCFG(fd.Body)
-	var out []Mask
-	RunTaint(cfg, spec, func(n ast.Node, st *TaintState) {
-		if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
-			out = append(out, st.ExprMask(ret.Results[0]))
-		}
-	})
-	return out
-}
-
-// paramTaint marks every pointer-typed parameter of the function with
-// bit 1.
-func paramTaint(info *types.Info, fd *ast.FuncDecl) *TaintSpec {
-	params := map[*types.Var]bool{}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok {
-					params[v] = true
-				}
-			}
-		}
-	}
-	return &TaintSpec{
-		Info: info,
-		InitMask: func(v *types.Var) Mask {
-			if params[v] {
-				return 1
-			}
-			return 0
-		},
-	}
-}
-
-func TestTaintDirectFlow(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func f(p *int) *int {
-	x := p
-	return x
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 1 {
-		t.Errorf("direct alias not tainted: %v", masks)
-	}
-}
-
-func TestTaintFreshAllocationClean(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func f(p *int) *int {
-	x := new(int)
-	return x
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 0 {
-		t.Errorf("fresh allocation tainted: %v", masks)
-	}
-}
-
-func TestTaintBranchUnion(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func f(p *int, c bool) *int {
-	y := new(int)
-	if c {
-		y = p
-	}
-	return y
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 1 {
-		t.Errorf("one-path taint lost at merge: %v", masks)
-	}
-}
-
-func TestTaintRebindClears(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func f(p *int) *int {
-	p = new(int)
-	return p
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 0 {
-		t.Errorf("re-bound parameter still tainted (bottom/init lattice bug): %v", masks)
-	}
-}
-
-func TestTaintLoopFixpoint(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func f(p *int, n int) *int {
-	y := new(int)
-	for i := 0; i < n; i++ {
-		z := y
-		y = p
-		_ = z
-	}
-	return y
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 1 {
-		t.Errorf("loop-carried taint lost: %v", masks)
-	}
-}
-
-func TestTaintDerivedForms(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func f(p []int) []int {
-	a := p[1:3]
-	b := append(a, 4)
-	return b
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 1 {
-		t.Errorf("slice/append derivation lost taint: %v", masks)
-	}
-}
-
-func TestTaintValueCopyClamped(t *testing.T) {
-	// An int loaded from a tainted slice cannot alias the backing
-	// array; the type clamp must drop the mask.
-	fd, info, _ := checkFunc(t, `package p
-func f(p []int) int {
-	x := p[0]
-	return x
-}`, "f")
-	masks := maskAtReturn(fd, paramTaint(info, fd))
-	if len(masks) != 1 || masks[0] != 0 {
-		t.Errorf("non-reference value kept taint: %v", masks)
-	}
-}
-
-func TestTaintCallMaskHook(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func mk() *int { return new(int) }
-func f() *int {
-	x := mk()
-	return x
-}`, "f")
-	spec := &TaintSpec{
-		Info: info,
-		CallMask: func(call *ast.CallExpr, st *TaintState) Mask {
-			if fn := Callee(info, call); fn != nil && fn.Name() == "mk" {
-				return 2
-			}
-			return 0
-		},
-	}
-	masks := maskAtReturn(fd, spec)
-	if len(masks) != 1 || masks[0] != 2 {
-		t.Errorf("CallMask result lost: %v", masks)
-	}
-}
-
-func TestTaintTupleAssign(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-func two(p *int) (*int, error) { return p, nil }
-func f(p *int) *int {
-	x, err := two(p)
-	_ = err
-	return x
-}`, "f")
-	spec := &TaintSpec{
-		Info: info,
-		CallMask: func(call *ast.CallExpr, st *TaintState) Mask {
-			var m Mask
-			for _, a := range call.Args {
-				m |= st.ExprMask(a)
-			}
-			return m
-		},
-		InitMask: paramTaint(info, fd).InitMask,
-	}
-	masks := maskAtReturn(fd, spec)
-	if len(masks) != 1 || masks[0] != 1 {
-		t.Errorf("tuple assignment lost taint: %v", masks)
-	}
-}
-
-func TestRefBearing(t *testing.T) {
-	fd, info, _ := checkFunc(t, `package p
-type flat struct{ a, b int }
-type holder struct{ p *int }
-func f(x flat, y holder, s string, sl []int) {}
-`, "f")
-	wants := []struct {
-		name string
-		want bool
-	}{{"x", false}, {"y", true}, {"s", false}, {"sl", true}}
-	byName := map[string]*types.Var{}
-	for _, field := range fd.Type.Params.List {
-		for _, n := range field.Names {
-			byName[n.Name] = info.Defs[n].(*types.Var)
-		}
-	}
-	for _, w := range wants {
-		if got := RefBearing(byName[w.name].Type()); got != w.want {
-			t.Errorf("RefBearing(%s) = %v, want %v", w.name, got, w.want)
-		}
-	}
-}
-
 // trackAll makes DeadDefs consider every variable.
 func trackAll(*types.Var) bool { return true }
 

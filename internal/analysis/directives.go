@@ -8,19 +8,17 @@ import (
 )
 
 // Directive handling and lock-expression resolution shared by the
-// concurrency analyzers (lockhold, guardedby, atomicmix). Directives
-// are machine-readable comments of the form
+// concurrency analyzers (lockhold, guardedby). Directives are
+// machine-readable comments of the form
 //
 //	//reschedvet:<name> [args...]
 //
-// attached to a declaration's doc comment (functions) or to a struct
-// field's doc or trailing line comment (fields).
+// attached to a function declaration's doc comment.
 
-// The lock-contract directives are shared by guardedby (which
-// validates and enforces them at call sites) and lockcycle (which
-// folds them into the global lock-order graph); lockorder is shared by
-// lockhold (indexed-acquisition suppression) and lockcycle (fact
-// export and staleness hygiene).
+// The lock-contract directives are validated and enforced at call
+// sites by guardedby; lockhold and guardedby both apply them through
+// the shared lockset transfer (lockset.go). lockorder is lockhold's:
+// it exempts indexed same-field acquisitions.
 const (
 	// HoldsDirective declares that callers must hold the named mutex.
 	HoldsDirective = "//reschedvet:holds"
@@ -34,10 +32,6 @@ const (
 	// locks through strictly ascending indices — the sharded book's
 	// global lock order.
 	LockOrderDirective = "//reschedvet:lockorder"
-	// ClosesDirective declares that calling the function closes the
-	// named channel field (field or Type.field), for bodies whose close
-	// is too indirect for chanflow to see.
-	ClosesDirective = "//reschedvet:closes"
 )
 
 // HasDirective reports whether the comment group carries the directive
@@ -66,16 +60,6 @@ func DirectiveArgs(doc *ast.CommentGroup, directive string) (string, bool) {
 		return strings.TrimSpace(rest), true
 	}
 	return "", false
-}
-
-// FieldDirectiveArgs looks the directive up on a struct field, which
-// may carry it either in a doc comment above or a line comment after
-// the field.
-func FieldDirectiveArgs(f *ast.Field, directive string) (string, bool) {
-	if args, ok := DirectiveArgs(f.Doc, directive); ok {
-		return args, ok
-	}
-	return DirectiveArgs(f.Comment, directive)
 }
 
 // IsMutexType reports whether t is sync.Mutex or sync.RWMutex,
@@ -155,20 +139,14 @@ func LockVar(info *types.Info, e ast.Expr) *types.Var {
 	return nil
 }
 
-// IsChanType reports whether t is a channel type, through aliases.
-func IsChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
 // ChanVar resolves a channel-typed expression to its variable, if it
 // is a plain (possibly selected) variable reference.
 func ChanVar(info *types.Info, e ast.Expr) *types.Var {
 	t := info.TypeOf(e)
-	if t == nil || !IsChanType(t) {
+	if t == nil {
+		return nil
+	}
+	if _, ok := t.Underlying().(*types.Chan); !ok {
 		return nil
 	}
 	switch e := ast.Unparen(e).(type) {
@@ -197,8 +175,8 @@ type LockContractSpec struct {
 
 // ParseLockContract reads the holds/acquires/releases directives off a
 // doc comment without validating the named mutexes (guardedby owns the
-// hygiene reports; lockcycle consumes contracts silently). ok is true
-// when at least one directive names at least one mutex.
+// hygiene reports). ok is true when at least one directive names at
+// least one mutex.
 func ParseLockContract(doc *ast.CommentGroup) (LockContractSpec, bool) {
 	var spec LockContractSpec
 	for _, d := range []struct {
@@ -220,19 +198,6 @@ func ParseLockContract(doc *ast.CommentGroup) (LockContractSpec, bool) {
 // field name against fn's receiver struct, or Type.field against a
 // struct type in fn's package.
 func ResolveMutexSpec(pkg *types.Package, fn *types.Func, spec string) *types.Var {
-	return resolveFieldSpec(pkg, fn, spec, IsMutexType)
-}
-
-// ResolveChanSpec is ResolveMutexSpec for channel-typed fields — the
-// form chanflow's closes directive uses.
-func ResolveChanSpec(pkg *types.Package, fn *types.Func, spec string) *types.Var {
-	return resolveFieldSpec(pkg, fn, spec, IsChanType)
-}
-
-// resolveFieldSpec resolves a `field` or `Type.field` spec to a struct
-// field of the wanted type: bare names against fn's receiver struct,
-// qualified names against a struct type in pkg's scope.
-func resolveFieldSpec(pkg *types.Package, fn *types.Func, spec string, want func(types.Type) bool) *types.Var {
 	var st *types.Struct
 	name := spec
 	if t, f, ok := strings.Cut(spec, "."); ok {
@@ -250,69 +215,11 @@ func resolveFieldSpec(pkg *types.Package, fn *types.Func, spec string, want func
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if f.Name() == name && want(f.Type()) {
+		if f.Name() == name && IsMutexType(f.Type()) {
 			return f
 		}
 	}
 	return nil
-}
-
-// VarKey renders a lock or channel variable as a stable, module-wide
-// identity: "pkg/path.Type.field" for fields of package-scope struct
-// types, "pkg/path.name" for package-level variables, and "" for
-// everything else (locals and anonymous-struct fields cannot compose
-// across functions, so whole-module analyses drop them). One loader
-// type-checks every module package of a run, so the same field always
-// renders the same key on both sides of an import edge.
-func VarKey(v *types.Var) string {
-	if v == nil || v.Pkg() == nil {
-		return ""
-	}
-	if v.IsField() {
-		if owner := fieldOwnerName(v); owner != "" {
-			return v.Pkg().Path() + "." + owner + "." + v.Name()
-		}
-		return ""
-	}
-	if v.Parent() == v.Pkg().Scope() {
-		return v.Pkg().Path() + "." + v.Name()
-	}
-	return ""
-}
-
-// fieldOwnerName finds the package-scope named struct type declaring
-// the field, by object identity. Scope names are sorted, so the first
-// match is deterministic (a field belongs to exactly one struct
-// anyway).
-func fieldOwnerName(v *types.Var) string {
-	scope := v.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return name
-			}
-		}
-	}
-	return ""
-}
-
-// ShortKey trims a VarKey or ObjectKey down to its last path element
-// for diagnostics: "resched/internal/resbook.bookShard.mu" renders as
-// "resbook.bookShard.mu". Keys are unique module-wide; the short form
-// is only for human eyes.
-func ShortKey(key string) string {
-	if i := strings.LastIndex(key, "/"); i >= 0 {
-		return key[i+1:]
-	}
-	return key
 }
 
 // IndexedLockOp reports whether call is a mutex Lock/RLock/Unlock/
@@ -335,155 +242,4 @@ func IndexedLockOp(info *types.Info, call *ast.CallExpr) bool {
 		return true
 	})
 	return indexed
-}
-
-// HasIndexedLockOp reports whether body performs any indexed lock
-// operation.
-func HasIndexedLockOp(info *types.Info, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && IndexedLockOp(info, call) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// RootIdentVar strips selectors, indexes, slices, dereferences,
-// address-ofs, and parens off an expression and resolves the
-// remaining root identifier to its variable, or nil.
-func RootIdentVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			v, _ := info.Uses[x].(*types.Var)
-			if v == nil {
-				v, _ = info.Defs[x].(*types.Var)
-			}
-			return v
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// FreshLocals identifies the function's provably fresh locals:
-// variables every one of whose assignments derives from memory the
-// function itself allocated (a composite literal, new, or a
-// projection — field, element, address — of another fresh local).
-// Accesses through a fresh local cannot race, because no other
-// goroutine holds a reference yet; guardedby and atomicmix use this
-// to exempt constructor initialization from locking discipline.
-//
-// The analysis is syntactic and flow-insensitive: a variable
-// reassigned from anything non-fresh is dropped entirely, and
-// freshness propagates through chains (sh := &b.shards[i] is fresh
-// when b is) by iterating to a fixed point.
-func FreshLocals(info *types.Info, fd *ast.FuncDecl) map[*types.Var]bool {
-	if fd.Body == nil {
-		return nil
-	}
-	// sources[v] lists the RHS expressions assigned to v; vars with an
-	// unmatched (multi-value) assignment are poisoned.
-	sources := map[*types.Var][]ast.Expr{}
-	poisoned := map[*types.Var]bool{}
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return // writes through selectors/indexes don't change the root's freshness
-		}
-		v, _ := info.Defs[id].(*types.Var)
-		if v == nil {
-			v, _ = info.Uses[id].(*types.Var)
-		}
-		if v == nil {
-			return
-		}
-		if rhs == nil {
-			poisoned[v] = true
-			return
-		}
-		sources[v] = append(sources[v], rhs)
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					record(n.Lhs[i], n.Rhs[i])
-				}
-			} else {
-				for _, l := range n.Lhs {
-					record(l, nil)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Key != nil {
-				record(n.Key, nil)
-			}
-			if n.Value != nil {
-				record(n.Value, nil)
-			}
-		}
-		return true
-	})
-
-	fresh := map[*types.Var]bool{}
-	var freshExpr func(e ast.Expr) bool
-	freshExpr = func(e ast.Expr) bool {
-		switch e := ast.Unparen(e).(type) {
-		case *ast.CompositeLit:
-			return true
-		case *ast.UnaryExpr:
-			return e.Op == token.AND && freshExpr(e.X)
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
-					return true
-				}
-			}
-			return false
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			v := RootIdentVar(info, e)
-			return v != nil && fresh[v]
-		}
-		return false
-	}
-	for changed := true; changed; {
-		changed = false
-		for v, exprs := range sources {
-			if fresh[v] || poisoned[v] {
-				continue
-			}
-			all := true
-			for _, e := range exprs {
-				if !freshExpr(e) {
-					all = false
-					break
-				}
-			}
-			if all {
-				fresh[v] = true
-				changed = true
-			}
-		}
-	}
-	return fresh
 }

@@ -23,7 +23,6 @@ import (
 	"go/types"
 
 	"resched/internal/analysis"
-	"resched/internal/analysis/checkedentry"
 )
 
 // Analyzer flags dropped errors in the serving packages.
@@ -35,7 +34,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if !checkedentry.ServingPackages[pass.Pkg.Path()] {
+	if !analysis.ServingPackages[pass.Pkg.Path()] {
 		return nil
 	}
 	decls, _ := analysis.FuncDecls(pass.Files, pass.TypesInfo)

@@ -6,20 +6,16 @@ import "sync"
 type H struct {
 	mu   sync.Mutex
 	data int
-	//reschedvet:guardedby nosuch
-	Bad1 int // want "guardedby names nosuch, which is not a field of this struct"
-	//reschedvet:guardedby data
-	Bad2 int // want "guardedby names data, which is not a sync.Mutex or sync.RWMutex"
-	//reschedvet:guardedby mu
-	mu2 sync.Mutex // want "guardedby on a mutex field guards nothing"
-	//reschedvet:guardedby
-	Bad3 int // want "guardedby directive needs a single sibling mutex field name"
 }
 
 //reschedvet:holds gone
 func (h *H) badContract() {} // want "lock contract on badContract names gone, which does not resolve to a mutex field"
 
-// use keeps the otherwise-unused declarations alive for the
-// type-checker's unused-variable rules (it has none for fields, but
-// the method must be referenced somewhere in a real build).
-var _ = (*H).badContract
+//reschedvet:holds data
+func (h *H) notAMutex() {} // want "lock contract on notAMutex names data, which does not resolve to a mutex field"
+
+//reschedvet:acquires
+func (h *H) empty() {} // want "acquires directive on empty names no mutex"
+
+// use keeps the otherwise-unused declarations referenced.
+var _ = []any{(*H).badContract, (*H).notAMutex, (*H).empty}

@@ -1,78 +1,18 @@
-// Package resbook is a guardedby fixture: annotated fields, helper
-// contracts, and the access shapes the analyzer must admit or flag.
+// Package resbook is a guardedby fixture: helper contracts, and the
+// call shapes the analyzer must admit or flag.
 package resbook
 
 import "sync"
 
 type shard struct {
-	mu sync.RWMutex
-	//reschedvet:guardedby mu
+	mu    sync.RWMutex
 	stamp uint64
-	res   map[string]int //reschedvet:guardedby mu
 }
 
 type Book struct {
-	Mu sync.Mutex
-	//reschedvet:guardedby Mu
+	Mu     sync.Mutex
 	Count  int
 	shards []shard
-}
-
-// New initializes guarded fields through fresh locals: no lock is
-// needed before the value is shared.
-func New(n int) *Book {
-	b := &Book{shards: make([]shard, n)}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.res = map[string]int{}
-		sh.stamp = 1
-	}
-	b.Count = n
-	return b
-}
-
-// Get reads under the shard read lock: fine.
-func (b *Book) Get(id string) (int, bool) {
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		v, ok := sh.res[id]
-		sh.mu.RUnlock()
-		if ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// Put writes under the write lock with a deferred unlock: fine.
-func (b *Book) Put(id string, v int) {
-	sh := &b.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.res[id] = v
-	sh.stamp++
-}
-
-func (b *Book) BadGet(id string) int {
-	return b.shards[0].res[id] // want "read of res outside critical section of mu"
-}
-
-func (b *Book) BadStampWrite() {
-	sh := &b.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sh.stamp++ // want "write to sh.stamp while mu is only read-locked"
-}
-
-// MaybeLocked holds Mu on only one path, so the access is not covered
-// on every path: must-held analysis flags it.
-func (b *Book) MaybeLocked(cond bool) int {
-	if cond {
-		b.Mu.Lock()
-		defer b.Mu.Unlock()
-	}
-	return b.Count // want "read of b.Count outside critical section of Mu"
 }
 
 // applyLocked assumes the caller holds Mu.
@@ -92,12 +32,46 @@ func (b *Book) BadApply(d int) {
 	b.applyLocked(d) // want "call to applyLocked requires holding Mu"
 }
 
+// Deferred unlocks hold to the end of the function.
+func (b *Book) DeferredApply(d int) {
+	b.Mu.Lock()
+	defer b.Mu.Unlock()
+	b.applyLocked(d)
+}
+
+// The lock must be held on every path, not just one.
+func (b *Book) MaybeApply(cond bool, d int) {
+	if cond {
+		b.Mu.Lock()
+	}
+	b.applyLocked(d) // want "call to applyLocked requires holding Mu"
+	if cond {
+		b.Mu.Unlock()
+	}
+}
+
+// Dequeue-after-unlock: the helper runs once the section has ended.
+func (b *Book) LateApply(d int) {
+	b.Mu.Lock()
+	b.Count++
+	b.Mu.Unlock()
+	b.applyLocked(d) // want "call to applyLocked requires holding Mu"
+}
+
 // MergeLocked folds src into the count; the caller holds Mu. Exported
 // so the server fixture exercises the cross-package contract fact.
 //
 //reschedvet:holds Mu
 func (b *Book) MergeLocked(src int) {
 	b.Count += src
+}
+
+// mergeTwice relies on its own holds contract for the nested call.
+//
+//reschedvet:holds Mu
+func (b *Book) mergeTwice(src int) {
+	b.MergeLocked(src)
+	b.MergeLocked(src)
 }
 
 // lockAll acquires every shard lock in index order.
@@ -118,67 +92,27 @@ func (b *Book) unlockAll() {
 	}
 }
 
-// Bump's accesses are covered by the wrapper contracts.
-func (b *Book) Bump() {
-	b.lockAll()
-	defer b.unlockAll()
+// bumpLocked needs the shard locks the wrappers take.
+//
+//reschedvet:holds shard.mu
+func (b *Book) bumpLocked() {
 	for i := range b.shards {
 		b.shards[i].stamp++
 	}
 }
 
-// BadBump releases before the access.
+// Bump's call is covered by the wrapper contracts.
+func (b *Book) Bump() {
+	b.lockAll()
+	defer b.unlockAll()
+	b.bumpLocked()
+}
+
+// BadBump releases before the call.
 func (b *Book) BadBump() {
 	b.lockAll()
 	b.unlockAll()
-	b.shards[0].stamp++ // want "write of stamp outside critical section of mu"
+	b.bumpLocked() // want "call to bumpLocked requires holding shard.mu"
 }
 
-// The persistent backend keeps each shard's immutable profile as a
-// copy-on-write root pointer: nodes are never written after publish,
-// only the root pointer moves. The whole COW invariant therefore
-// reduces to guarding that one pointer — snapshots pin it under the
-// read lock, commits swap in a path-copied replacement under the
-// write lock.
-
-type node struct {
-	left, right *node
-	val         int
-}
-
-type pshard struct {
-	mu sync.RWMutex
-	//reschedvet:guardedby mu
-	root *node
-}
-
-// SnapshotRoot pins the current root under the read lock: fine. The
-// returned handle stays valid after unlock precisely because nodes
-// behind a published root are immutable.
-func (s *pshard) SnapshotRoot() *node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.root
-}
-
-// SwapRoot publishes a path-copied replacement under the write lock:
-// fine.
-func (s *pshard) SwapRoot(n *node) {
-	s.mu.Lock()
-	s.root = n
-	s.mu.Unlock()
-}
-
-// BadSwapUnderRLock moves the root while only read-locked — a racing
-// snapshot could pin a half-published root.
-func (s *pshard) BadSwapUnderRLock(n *node) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.root = n // want "write to s.root while mu is only read-locked"
-}
-
-// BadRootRead pins the root with no lock at all: the pointer load
-// itself races with a concurrent swap even though nodes are immutable.
-func (s *pshard) BadRootRead() *node {
-	return s.root // want "read of s.root outside critical section of mu"
-}
+var _ = (*Book).mergeTwice

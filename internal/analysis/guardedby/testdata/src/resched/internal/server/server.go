@@ -1,21 +1,11 @@
 // Package server is a guardedby fixture exercising the cross-package
-// facts: the resbook fixture's annotations travel as GuardedBy and
-// LockContract facts and are enforced here with no local directives.
+// LockContract fact: the resbook fixture's holds contract is enforced
+// here with no local directive.
 package server
 
 import (
 	"resched/internal/resbook"
 )
-
-func Observe(b *resbook.Book) int {
-	b.Mu.Lock()
-	defer b.Mu.Unlock()
-	return b.Count
-}
-
-func BadObserve(b *resbook.Book) int {
-	return b.Count // want "read of b.Count outside critical section of Mu"
-}
 
 func Merge(b *resbook.Book) {
 	b.Mu.Lock()
@@ -25,15 +15,4 @@ func Merge(b *resbook.Book) {
 
 func BadMerge(b *resbook.Book) {
 	b.MergeLocked(1) // want "call to MergeLocked requires holding Mu"
-}
-
-// Fresh construction through the dependency's constructor is not a
-// guarded access at all; reading the field afterwards without the
-// lock is.
-func Build() int {
-	b := resbook.New(4)
-	b.Mu.Lock()
-	b.Count = 7
-	b.Mu.Unlock()
-	return b.Count // want "read of b.Count outside critical section of Mu"
 }

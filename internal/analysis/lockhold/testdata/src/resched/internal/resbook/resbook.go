@@ -127,8 +127,8 @@ func (s *Sharded) lockAllThenBook(b *Book) {
 	b.mu.Unlock()
 }
 
-// Negative: the stale-directive hygiene (a lockorder declaration with
-// no indexed lock operation) is lockcycle's report now, not lockhold's.
+// Negative: a lockorder declaration with no indexed lock operation
+// changes nothing here; the plain acquisition gets the full check.
 //
 //reschedvet:lockorder
 func (s *Sharded) Declared() {
@@ -137,4 +137,27 @@ func (s *Sharded) Declared() {
 	for i := range s.shards {
 		s.shards[i].count++
 	}
+}
+
+// lockAll acquires the book's lock for its caller, as the sharded
+// book's lockShards does.
+//
+//reschedvet:acquires mu
+func (b *Book) lockAll() {
+	b.mu.Lock()
+}
+
+// Positive: the lock a contract call acquired is held afterwards.
+func (b *Book) WaitAfterLockAll(ch chan int) int {
+	b.lockAll()
+	v := <-ch // want "channel receive may block while mu is held"
+	b.mu.Unlock()
+	return v
+}
+
+// Positive: a *Locked helper runs with its holds contract's lock held.
+//
+//reschedvet:holds mu
+func (b *Book) sendLocked(ch chan int) {
+	ch <- b.version // want "channel send may block while mu is held"
 }

@@ -6,9 +6,10 @@
 // deadlineAggressive once left its allocation bound nil for
 // non-DL_BD algorithms — turns an unhandled mode into a downstream
 // failure far from the cause. Every switch over these types must
-// either name every declared constant or carry a default clause that
-// fails loudly (a non-empty body: return an error, panic, count the
-// fall-through).
+// either name every declared constant or carry a default clause. What
+// the default does is left to tests: judging it by shape (flagging an
+// empty one) caught none of the seeded faults, and an assignment-only
+// default slips past any such rule (DESIGN.md §20).
 package modeexhaustive
 
 import (
@@ -37,7 +38,7 @@ var GuardedEnums = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "modeexhaustive",
 	Doc: "switches over the scheduler-mode and reservation-lifecycle enums must cover " +
-		"every declared constant or have a default that fails loudly",
+		"every declared constant or have a default",
 	Run: run,
 }
 
@@ -77,11 +78,6 @@ func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
 		cc := clause.(*ast.CaseClause)
 		if cc.List == nil {
 			hasDefault = true
-			if len(cc.Body) == 0 {
-				pass.Reportf(cc.Pos(),
-					"silent default in switch over %s: a default for an unhandled %s must fail loudly",
-					named.Obj().Name(), named.Obj().Name())
-			}
 			continue
 		}
 		for _, expr := range cc.List {

@@ -47,15 +47,6 @@ func loudDefault(m core.BLMethod) string {
 	}
 }
 
-func silentDefault(s resbook.Status) string {
-	switch s {
-	case resbook.Pending:
-		return "pending"
-	default: // want "silent default"
-	}
-	return ""
-}
-
 func unguarded(l Local) string {
 	switch l {
 	case A:

@@ -258,8 +258,7 @@ func channelJoined(info *types.Info, fd *ast.FuncDecl, gs *ast.GoStmt, lit *ast.
 	return received
 }
 
-// chanVar resolves a channel-typed expression to its variable; shared
-// with chanflow via the analysis package since PR 9.
+// chanVar resolves a channel-typed expression to its variable.
 func chanVar(info *types.Info, e ast.Expr) *types.Var {
 	return analysis.ChanVar(info, e)
 }

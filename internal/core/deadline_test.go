@@ -178,6 +178,20 @@ func TestDeadlineUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// deadlineAggressive serves only the DL_BD algorithms. Handed any other
+// one, it must fail loudly instead of running with some bound: that
+// silent fall-through is the bug exhaustive mode switches exist for.
+func TestDeadlineAggressiveRejectsOtherAlgorithms(t *testing.T) {
+	g := chainGraph(2, model.Hour, 0.2)
+	s := mustScheduler(t, g)
+	env := emptyEnv(4, 0)
+	for _, algo := range []DLAlgorithm{DLRCCPA, DLRCCPAR, DLRCCPARLambda, DLRCBDCPARLambda, DLAlgorithm(99)} {
+		if _, err := s.deadlineAggressive(context.Background(), env, 4, algo, model.Day); err == nil {
+			t.Errorf("deadlineAggressive accepted %v", algo)
+		}
+	}
+}
+
 // Property: all deadline algorithms produce schedules that verify and
 // meet the deadline, across random instances with a deadline set to
 // twice the forward schedule's turnaround.

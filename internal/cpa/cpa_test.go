@@ -405,3 +405,24 @@ func TestStopRuleString(t *testing.T) {
 		t.Fatal("unknown StopRule should still stringify")
 	}
 }
+
+// TestRefineAllocationFree pins the grant loop at zero allocations: a
+// run's allocation count is its set-up, whatever the number of grants.
+// A 64-processor run grants many more processors than a 2-processor
+// run on the same DAG, so any per-grant allocation shows as a gap.
+func TestRefineAllocationFree(t *testing.T) {
+	spec := daggen.Default()
+	spec.N = 40
+	g := daggen.MustGenerate(spec, rand.New(rand.NewSource(7)))
+	allocs := func(p int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewRun(g, p, StopClassic); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2), allocs(64)
+	if large != small {
+		t.Fatalf("NewRun makes %.0f allocations for p=64 and %.0f for p=2; the grant loop allocates", large, small)
+	}
+}

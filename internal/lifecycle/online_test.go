@@ -72,3 +72,28 @@ func TestCloseBeforeStart(t *testing.T) {
 		t.Fatalf("Start after Close: err = %v, want ErrStopped", err)
 	}
 }
+
+// TestSubmitWakesLoop pins the wake channel: with a tick of an hour,
+// the only thing that can advance a started engine within seconds is
+// Submit's wake-up. An engine whose wake channel was never made drops
+// every wake-up (the non-blocking send falls to its default) and
+// leaves the job queued until the first tick.
+func TestSubmitWakesLoop(t *testing.T) {
+	e := newEngine(t, 8, Config{Tick: time.Hour})
+	if err := e.Start(context.Background()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer e.Close()
+	j := mustSubmit(t, e, 2, 3600)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got, ok := e.Job(j.ID)
+		if ok && got.State == Running {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %v 2s after Submit; the wake-up was lost", j.ID, got.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -152,6 +152,29 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestFlatSnapshotIsolation is TestSnapshotIsolation on the flat
+// backend, single- and multi-shard: its snapshots copy the shards'
+// profiles into the caller's buffer, and a snapshot that handed out a
+// shard's live profile instead would let staging write the book.
+func TestFlatSnapshotIsolation(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		b, err := NewShardedFlat(8, 0, shards, model.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := b.Snapshot()
+		if err := snap.Avail.Reserve(0, 100, 8); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Snapshot().Avail.FreeAt(50); got != 8 {
+			t.Errorf("%d shards: snapshot mutation leaked into the book: %d free", shards, got)
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Errorf("%d shards: %v", shards, err)
+		}
+	}
+}
+
 func TestFromReservations(t *testing.T) {
 	rs := []profile.Reservation{
 		{Start: -10, End: 20, Procs: 2}, // clipped to origin
