@@ -53,6 +53,20 @@ var catalogue = []mutant{
 		"\t\tref, err := referenceStarts(ctx, s.g, pl.order, pl.alloc, qRef)\n\t\tif err != nil {\n\t\t\treturn nil, fmt.Errorf(\"core: CPA reference schedule: %w\", err)\n\t\t}\n\t\tpl.ref = ref",
 		"\t\tpl.ref = make([]model.Duration, s.g.NumTasks())\n\t\tref, err := referenceStarts(ctx, s.g, pl.order, pl.alloc, qRef)\n\t\tif err != nil {\n\t\t\treturn nil, fmt.Errorf(\"core: CPA reference schedule: %w\", err)\n\t\t}\n\t\tcopy(pl.ref, ref)"},
 
+	// Section 5.2's picks, which only paper-check used to kill: the RC
+	// pick's tie and inclusive threshold (now the window floor of its
+	// LatestFits query), and the aggressive pick's tie, decided inside
+	// LatestFitMax's staircase.
+	{"rc-tie-to-more-procs", "internal/core/deadline.go",
+		"if !ok || lst < st {",
+		"if !ok || lst <= st {"},
+	{"rc-threshold-exclusive", "internal/core/deadline.go",
+		"max(env.Now, threshold)",
+		"max(env.Now, threshold+1)"},
+	{"latest-pick-tie-to-more-procs", "internal/profile/profile.go",
+		"s >= floor && (k < 0 || s > best)",
+		"s >= floor && (k < 0 || s >= best)"},
+
 	// DESIGN §19: the resumable CPA run.
 	{"extend-skips-held-back-check", "internal/cpa/cpa.go",
 		"\tfor i, a := range st.alloc {\n\t\tif a >= st.caps[i] && taskCap(st.stringent, st.g.Task(i).Alpha, p) > st.caps[i] {\n\t\t\treturn false\n\t\t}\n\t}\n",

@@ -68,17 +68,15 @@ func taskDeadline(sched *Schedule, succs []int, deadline model.Time) model.Time 
 
 // latestPair finds the <processors, start> pair with the latest start
 // time among the candidate probes reqs, the aggressive choice of
-// Section 5.2.1. Ties favor fewer processors. The candidate probes run
-// as one batch LatestFits sweep of the profile.
-func (s *Scheduler) latestPair(avail profile.Intervals, reqs []profile.FitRequest, now, dl model.Time) (int, model.Time, bool) {
-	s.scratchStarts, s.scratchOK = avail.LatestFits(reqs, now, dl, s.scratchStarts, s.scratchOK)
-	bestM, bestStart, found := 0, model.Time(0), false
-	for k := range reqs {
-		if s.scratchOK[k] && (!found || s.scratchStarts[k] > bestStart) {
-			bestM, bestStart, found = reqs[k].Procs, s.scratchStarts[k], true
-		}
+// Section 5.2.1. Ties favor fewer processors. reqs is an allocation
+// ladder, so one LatestFitMax query answers it, stopping at the first
+// profile segment where some candidate resolves.
+func latestPair(avail profile.Intervals, reqs []profile.FitRequest, now, dl model.Time) (int, model.Time, bool) {
+	k, st, ok := avail.LatestFitMax(reqs, now, dl)
+	if !ok {
+		return 0, 0, false
 	}
-	return bestM, bestStart, found
+	return reqs[k].Procs, st, true
 }
 
 func (s *Scheduler) deadlineAggressive(ctx context.Context, env Env, q int, algo DLAlgorithm, deadline model.Time) (*Schedule, error) {
@@ -110,7 +108,7 @@ func (s *Scheduler) deadlineAggressive(ctx context.Context, env Env, q int, algo
 		if algo == DLBDAll {
 			reqs = s.unbounded(pl, t, env.P)
 		}
-		m, st, ok := s.latestPair(avail, reqs, env.Now, dl)
+		m, st, ok := latestPair(avail, reqs, env.Now, dl)
 		if !ok {
 			return nil, fmt.Errorf("%w: task %d has no feasible reservation before %d (%s)", ErrInfeasible, t, dl, algo)
 		}
@@ -167,12 +165,16 @@ func (s *Scheduler) deadlineRC(ctx context.Context, env Env, q, qRef int, deadli
 		// the deadline is loose the candidate start is far past S_t and
 		// one processor wins; as it tightens, candidate starts compress
 		// toward S_t and the allocation grows toward the CPA schedule's.
+		// The threshold is the window floor: a floor at or below a
+		// candidate's latest start leaves it unchanged, and one above
+		// it reports no fit, so exactly the qualifying candidates come
+		// back and the sweep stops at the threshold instead of at Now.
 		reqs := pl.bounded[t]
-		s.scratchStarts, s.scratchOK = avail.LatestFits(reqs, env.Now, dl, s.scratchStarts, s.scratchOK)
+		s.scratchStarts, s.scratchOK = avail.LatestFits(reqs, max(env.Now, threshold), dl, s.scratchStarts, s.scratchOK)
 		m, st, ok := 0, model.Time(0), false
 		for k := range reqs {
 			lst := s.scratchStarts[k]
-			if !s.scratchOK[k] || lst < threshold {
+			if !s.scratchOK[k] {
 				continue
 			}
 			if !ok || lst < st {
@@ -186,7 +188,7 @@ func (s *Scheduler) deadlineRC(ctx context.Context, env Env, q, qRef int, deadli
 			if !boundedFallback {
 				reqs = s.unbounded(pl, t, env.P)
 			}
-			m, st, ok = s.latestPair(avail, reqs, env.Now, dl)
+			m, st, ok = latestPair(avail, reqs, env.Now, dl)
 		}
 		if !ok {
 			return nil, fmt.Errorf("%w: task %d has no feasible reservation before %d (RC)", ErrInfeasible, t, dl)

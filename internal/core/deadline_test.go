@@ -315,3 +315,77 @@ func TestTightestDeadlineEnvValidation(t *testing.T) {
 		t.Fatal("bad env accepted")
 	}
 }
+
+// The RC pick of Section 5.2.2 takes, among the allocations whose
+// latest start is at or after the threshold, the earliest-starting
+// one, and on a tie the one with fewer processors. Here a perfectly
+// parallel 12h task on 4 processors has a 20h deadline and only one
+// processor free during [14h, 20h): on one processor it starts at 8h,
+// on two it must end by 14h and so also starts at 8h, and on three or
+// four it starts later. The pick is one processor at 8h.
+func TestDeadlineRCTieTakesFewerProcessors(t *testing.T) {
+	g := chainGraph(1, 12*model.Hour, 0)
+	s := mustScheduler(t, g)
+	env := busyEnv(t, 4, 0, []profile.Reservation{{Start: 14 * model.Hour, End: 20 * model.Hour, Procs: 3}})
+	deadline := model.Time(20 * model.Hour)
+	if s1, _ := env.Avail.LatestFit(1, 12*model.Hour, 0, deadline); s1 != 8*model.Hour {
+		t.Fatalf("one processor starts at %d, want %d", s1, 8*model.Hour)
+	}
+	if s2, _ := env.Avail.LatestFit(2, 6*model.Hour, 0, deadline); s2 != 8*model.Hour {
+		t.Fatalf("two processors start at %d, want %d", s2, 8*model.Hour)
+	}
+	sched, err := s.Deadline(env, DLRCCPA, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sched.Tasks[0]; got.Procs != 1 || got.Start != 8*model.Hour {
+		t.Fatalf("RC pick = %d procs at %d, want 1 proc at %d (fewest processors on a tied start)", got.Procs, got.Start, 8*model.Hour)
+	}
+}
+
+// An allocation whose latest start equals the RC threshold qualifies
+// (Section 5.2.2; DESIGN §6b's reading (b)). In a chain of two
+// perfectly parallel 12h tasks on 4 processors, the CPA reference runs
+// both on 4 processors, so the sink's reference start is 3h. With a
+// 15h deadline the sink's one-processor latest start is exactly 3h:
+// it qualifies, and as the earliest qualifying start it is the pick.
+func TestDeadlineRCThresholdInclusive(t *testing.T) {
+	g := chainGraph(2, 12*model.Hour, 0)
+	s := mustScheduler(t, g)
+	env := emptyEnv(4, 0)
+	deadline := model.Time(15 * model.Hour)
+	sched, err := s.Deadline(env, DLRCCPA, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyDeadline(env, sched, deadline); err != nil {
+		t.Fatal(err)
+	}
+	if got := sched.Tasks[1]; got.Procs != 1 || got.Start != 3*model.Hour {
+		t.Fatalf("sink = %d procs at %d, want 1 proc at the threshold %d", got.Procs, got.Start, 3*model.Hour)
+	}
+}
+
+// The aggressive pick of Section 5.2.1 takes the latest start, and on
+// a tie fewer processors. A perfectly parallel 12h task on 4
+// processors with a 20h deadline finds two free processors during
+// [8h, 14h) and one during [14h, 20h): one processor and two
+// processors both start at 8h, three and four only earlier.
+func TestDeadlineAggressiveTieTakesFewerProcessors(t *testing.T) {
+	g := chainGraph(1, 12*model.Hour, 0)
+	s := mustScheduler(t, g)
+	env := busyEnv(t, 4, 0, []profile.Reservation{
+		{Start: 8 * model.Hour, End: 14 * model.Hour, Procs: 2},
+		{Start: 14 * model.Hour, End: 20 * model.Hour, Procs: 3},
+	})
+	deadline := model.Time(20 * model.Hour)
+	for _, algo := range []DLAlgorithm{DLBDAll, DLBDCPA} {
+		sched, err := s.Deadline(env, algo, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.Tasks[0]; got.Procs != 1 || got.Start != 8*model.Hour {
+			t.Fatalf("%v pick = %d procs at %d, want 1 proc at %d (fewest processors on a tied start)", algo, got.Procs, got.Start, 8*model.Hour)
+		}
+	}
+}

@@ -19,8 +19,8 @@ type planKey struct{ p, q, qRef int }
 // dlPlan is the part of a RESSCHEDDL computation that depends on
 // neither the deadline K nor the laxity lambda. Every probe of a
 // tightest-deadline search and every step of a lambda sweep reuses it
-// and does only the K-dependent work: task deadlines, LatestFits and
-// Reserve on its working profile.
+// and does only the K-dependent work: task deadlines, the fit queries
+// (LatestFits, LatestFitMax) and Reserve on its working profile.
 type dlPlan struct {
 	// order is the backward scheduling order: tasks by increasing
 	// BL_CPAR bottom level.

@@ -167,6 +167,176 @@ func TestLatestFitsMatchesSolo(t *testing.T) {
 	}
 }
 
+// amdahlLadder appends the allocation ladder of an Amdahl task to dst:
+// for m in [1, bound], one request per distinct duration at its
+// smallest m, stopping once the duration cannot shrink further — the
+// shape the schedulers probe.
+func amdahlLadder(dst []FitRequest, seq model.Duration, alpha float64, bound int) []FitRequest {
+	prev := model.Duration(-1)
+	for m := 1; m <= bound; m++ {
+		d := model.ExecTime(seq, alpha, m)
+		if d != prev {
+			dst = append(dst, FitRequest{Procs: m, Dur: d})
+			prev = d
+		}
+		if d <= 1 {
+			break
+		}
+	}
+	return dst
+}
+
+// latestFitMaxOracle is LatestFitMax's definition: the solo LatestFit
+// of every rung, the latest start, ties to the lowest index.
+func latestFitMaxOracle(p Intervals, reqs []FitRequest, notBefore, finishBy model.Time) (int, model.Time, bool) {
+	k, best := -1, model.Time(0)
+	for j, r := range reqs {
+		if s, ok := p.LatestFit(r.Procs, r.Dur, notBefore, finishBy); ok && (k < 0 || s > best) {
+			k, best = j, s
+		}
+	}
+	return k, best, k >= 0
+}
+
+// TestLatestFitMaxMatchesSolo requires both backends' LatestFitMax to
+// return the oracle's request and start on random Amdahl ladders over
+// light and congested profiles, with windows often snapped to
+// breakpoints (or to a breakpoint plus a rung's duration, where a run
+// fits exactly) or barely longer than a rung, some rungs or whole
+// ladders out of the window, and zero-duration ladders.
+func TestLatestFitMaxMatchesSolo(t *testing.T) {
+	cases, hits, misses := 0, 0, 0
+	var reqs []FitRequest
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		flat := fuzzedProfile(rng, 128, 60+int(seed%2)*540)
+		tree := NewPersistentFromProfile(flat)
+		segs := flat.Segments()
+		breakpoint := func() model.Time { return segs[rng.Intn(len(segs))].Start }
+		for trial := 0; trial < 40; trial++ {
+			seq := model.Duration(rng.Int63n(int64(2 * model.Day)))
+			if rng.Intn(10) == 0 {
+				seq = 0
+			}
+			reqs = amdahlLadder(reqs[:0], seq, rng.Float64(), rng.Intn(128)+1)
+			rung := reqs[rng.Intn(len(reqs))].Dur
+			notBefore := model.Time(rng.Int63n(int64(18 * model.Day)))
+			if rng.Intn(3) == 0 {
+				notBefore = breakpoint()
+			}
+			finishBy := notBefore + model.Time(rng.Int63n(int64(3*model.Day)))
+			switch rng.Intn(4) {
+			case 0:
+				if b := breakpoint(); b >= notBefore {
+					finishBy = b
+				}
+			case 1:
+				if b := breakpoint() + rung; b >= notBefore {
+					finishBy = b
+				}
+			case 2:
+				finishBy = notBefore + rung + model.Time(rng.Int63n(int64(2*model.Hour)))
+			}
+			kW, sW, okW := latestFitMaxOracle(flat, reqs, notBefore, finishBy)
+			for _, b := range []Intervals{flat, tree} {
+				k, s, ok := b.LatestFitMax(reqs, notBefore, finishBy)
+				if k != kW || s != sW || ok != okW {
+					t.Fatalf("seed %d trial %d, %T: LatestFitMax(%d rungs, [%d,%d]) = (%d,%d,%v), solo (%d,%d,%v)",
+						seed, trial, b, len(reqs), notBefore, finishBy, k, s, ok, kW, sW, okW)
+				}
+			}
+			if okW {
+				hits++
+			} else {
+				misses++
+			}
+			cases++
+		}
+	}
+	if hits < 200 || misses < 40 {
+		t.Fatalf("%d cases: %d fits, %d misses; the corpus should cover both", cases, hits, misses)
+	}
+}
+
+// TestLatestFitMaxTies forces two rungs a < b to share the latest
+// start s: b's Procs are free only during [s, s+Dur_b), a's until
+// s+Dur_a = finishBy. Every other rung starts strictly earlier, so
+// both backends must return rung a at s. Random reservations outside
+// [s, finishBy) vary the rest of the profile.
+func TestLatestFitMaxTies(t *testing.T) {
+	const capacity = 64
+	var reqs []FitRequest
+	cases := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reqs = amdahlLadder(reqs[:0], model.Duration(rng.Int63n(int64(model.Day)))+600, rng.Float64()*0.5, capacity/2)
+		if len(reqs) < 2 {
+			continue
+		}
+		a := rng.Intn(len(reqs) - 1)
+		b := a + 1 + rng.Intn(len(reqs)-a-1)
+		s := model.Time(model.Day) + model.Time(rng.Int63n(int64(model.Day)))
+		finishBy := s + reqs[a].Dur
+		flat := New(capacity, 0)
+		for k := 0; k < 30; k++ {
+			start := model.Time(rng.Int63n(int64(4 * model.Day)))
+			end := start + model.Duration(rng.Int63n(int64(6*model.Hour))+60)
+			if end <= s || start >= finishBy {
+				if procs := rng.Intn(capacity) + 1; flat.MinFree(start, end) >= procs {
+					if err := flat.Reserve(start, end, procs); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if err := flat.Reserve(s, s+reqs[b].Dur, capacity-reqs[b].Procs); err != nil {
+			t.Fatal(err)
+		}
+		if err := flat.Reserve(s+reqs[b].Dur, finishBy, capacity-reqs[a].Procs); err != nil {
+			t.Fatal(err)
+		}
+		notBefore := s - model.Time(rng.Int63n(int64(model.Day)))
+		if kW, sW, _ := latestFitMaxOracle(flat, reqs, notBefore, finishBy); kW != a || sW != s {
+			t.Fatalf("seed %d: construction broken: oracle (%d,%d), want (%d,%d)", seed, kW, sW, a, s)
+		}
+		for _, p := range []Intervals{flat, NewPersistentFromProfile(flat)} {
+			if k, st, ok := p.LatestFitMax(reqs, notBefore, finishBy); !ok || k != a || st != s {
+				t.Fatalf("seed %d, %T: LatestFitMax = (%d,%d,%v), want rung %d (of tied %d and %d) at %d",
+					seed, p, k, st, ok, a, a, b, s)
+			}
+		}
+		cases++
+	}
+	if cases < 150 {
+		t.Fatalf("only %d tie cases", cases)
+	}
+}
+
+// TestLatestFitMaxRejectsNonLadder requires both backends to panic,
+// with the same message, on requests that are not an allocation
+// ladder or do not fit the cluster.
+func TestLatestFitMaxRejectsNonLadder(t *testing.T) {
+	bad := map[string][]FitRequest{
+		"procs not increasing": {{Procs: 2, Dur: 10}, {Procs: 2, Dur: 5}},
+		"dur not decreasing":   {{Procs: 1, Dur: 10}, {Procs: 2, Dur: 10}},
+		"procs above capacity": {{Procs: 1, Dur: 10}, {Procs: 9, Dur: 5}},
+		"zero procs":           {{Procs: 0, Dur: 10}},
+		"negative dur":         {{Procs: 1, Dur: -1}},
+	}
+	catch := func(p Intervals, reqs []FitRequest) (msg any) {
+		defer func() { msg = recover() }()
+		p.LatestFitMax(reqs, 0, 100)
+		return nil
+	}
+	for name, reqs := range bad {
+		flat := New(8, 0)
+		mf, mp := catch(flat, reqs), catch(NewPersistentFromProfile(flat), reqs)
+		if mf == nil || mf != mp {
+			t.Errorf("%s: flat panic %v, persistent panic %v", name, mf, mp)
+		}
+	}
+}
+
 // TestMinFreeSaturated pins the MinFree early-exit behavior: once an
 // interval touches a fully booked segment the minimum is 0, and
 // intervals that stop short of it are unaffected.

@@ -34,6 +34,11 @@ type Intervals interface {
 	LatestFit(procs int, dur model.Duration, notBefore, finishBy model.Time) (model.Time, bool)
 	EarliestFits(reqs []FitRequest, notBefore model.Time, out []model.Time) []model.Time
 	LatestFits(reqs []FitRequest, notBefore, finishBy model.Time, out []model.Time, ok []bool) ([]model.Time, []bool)
+	// LatestFitMax answers "which request starts latest?" for an
+	// allocation ladder (Procs strictly increasing, Dur strictly
+	// decreasing): the index, start and feasibility of the best of
+	// LatestFits' answers, ties to the lowest index.
+	LatestFitMax(reqs []FitRequest, notBefore, finishBy model.Time) (k int, start model.Time, ok bool)
 
 	// Checked variants: validated entry points for serving code; see
 	// validate.go for the contract (including ErrBeforeOrigin).

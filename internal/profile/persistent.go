@@ -861,6 +861,23 @@ func (t *PersistentProfile) LatestFits(reqs []FitRequest, notBefore, finishBy mo
 	return out, ok
 }
 
+// LatestFitMax returns the ladder request with the latest feasible
+// start, ties to the lowest index; see the flat backend for the
+// contract. Each rung is one solo descent whose window floor is raised
+// past the best start so far: a floor at or below a request's latest
+// start leaves that start unchanged, and a floor above it means the
+// request cannot win, so only a strictly later start replaces the best.
+func (t *PersistentProfile) LatestFitMax(reqs []FitRequest, notBefore, finishBy model.Time) (int, model.Time, bool) {
+	checkLadder(reqs, t.capacity)
+	k, best := -1, model.Time(0)
+	for j, r := range reqs {
+		if s, ok := t.LatestFit(r.Procs, r.Dur, notBefore, finishBy); ok {
+			k, best, notBefore = j, s, s+1
+		}
+	}
+	return k, best, k >= 0
+}
+
 // ---- mutations ----
 
 // ensureBreak inserts a breakpoint at time tm (>= origin), reusing an

@@ -427,6 +427,15 @@ func (h *editHarness) step(step, i int, op uint8, start, end model.Time, procs i
 		if (errF == nil) != (errP == nil) || vF != vP {
 			t.Fatalf("step %d: MinFreeChecked flat (%d,%v), persistent (%d,%v)", step, vF, errF, vP, errP)
 		}
+	case 5: // LatestFitMax over an Amdahl ladder of up to procs rungs
+		reqs := amdahlLadder(nil, model.Duration(procs)*3, 0, min(max(procs, 1), flat.Capacity()))
+		kW, sW, okW := latestFitMaxOracle(flat, reqs, start, end)
+		kF, sF, okF := flat.LatestFitMax(reqs, start, end)
+		kP, sP, okP := pers.LatestFitMax(reqs, start, end)
+		if kF != kW || sF != sW || okF != okW || kP != kW || sP != sW || okP != okW {
+			t.Fatalf("step %d: LatestFitMax(%v, %d, %d) flat (%d,%d,%v), persistent (%d,%d,%v), solo (%d,%d,%v)",
+				step, reqs, start, end, kF, sF, okF, kP, sP, okP, kW, sW, okW)
+		}
 	}
 	if err := pers.Check(); err != nil {
 		t.Fatalf("step %d: persistent invariants: %v", step, err)
@@ -579,7 +588,7 @@ func TestPersistentRejectedMutationWritesNothing(t *testing.T) {
 // differential: an op selector plus raw (unclamped) time and processor
 // operands, so rejection paths are fuzzed as hard as the commit paths.
 func decodeTreeOp(b []byte) (op uint8, start model.Time, end model.Time, procs int) {
-	op = b[0] % 5
+	op = b[0] % 6
 	start = model.Time(binary.LittleEndian.Uint16(b[1:3]))
 	end = start + model.Duration(binary.LittleEndian.Uint16(b[3:5]))
 	procs = int(b[5])
@@ -598,7 +607,7 @@ func editRunSeed(steps, run int) []byte {
 			op, w = 1, i-3
 		}
 		if i%run != 0 {
-			op += 5 // control bit 0: no Clone before this step
+			op += 6 // control bit 0: no Clone before this step
 		}
 		b = append(b, op, byte(7*w), byte(7*w>>8), 20, 0, 1)
 	}
@@ -614,29 +623,30 @@ func editRunSeed(steps, run int) []byte {
 func editSplitSeed() []byte {
 	var b []byte
 	for i := 0; i < 16; i++ {
-		b = append(b, 5, byte(100*i), byte(100*i>>8), 50, 0, 1)
+		b = append(b, 6, byte(100*i), byte(100*i>>8), 50, 0, 1)
 	}
 	return append(b,
 		0, 0x88, 0x13, 10, 0, 1, // Clone, then live books [5000,5010)
-		15, 0, 0, 0xd0, 0x07, 1, // clone books [0,2000)
-		5, 20, 0, 10, 0, 2, // live books [20,30)
-		10, 0x2c, 0x01, 0x90, 0x01, 3, // Clone of the clone, which then books [300,700)
-		16, 0, 0, 50, 0, 1, // clone releases [0,50)
-		35, 0, 0, 0xd0, 0x07, 4, // second clone books [0,2000)
-		5, 0, 0, 0xd0, 0x07, 2, // live books [0,2000)
+		18, 0, 0, 0xd0, 0x07, 1, // clone books [0,2000)
+		6, 20, 0, 10, 0, 2, // live books [20,30)
+		12, 0x2c, 0x01, 0x90, 0x01, 3, // Clone of the clone, which then books [300,700)
+		19, 0, 0, 50, 0, 1, // clone releases [0,50)
+		42, 0, 0, 0xd0, 0x07, 4, // second clone books [0,2000)
+		6, 0, 0, 0xd0, 0x07, 2, // live books [0,2000)
 	)
 }
 
 // FuzzPersistentVsFlat feeds random op sequences — Reserve,
-// Unreserve, EarliestFit, LatestFit, MinFree (decodeTreeOp) — to a
-// family of persistent handles (editHarness) and their flat twins,
-// requiring bit-identical outcomes after every operation: the same
-// accept/reject decision and error string on mutations, the same query
-// answers, the same step function, and valid invariants. A handle
+// Unreserve, EarliestFit, LatestFit, MinFree, LatestFitMax
+// (decodeTreeOp) — to a family of persistent handles (editHarness)
+// and their flat twins, requiring bit-identical outcomes after every
+// operation: the same accept/reject decision and error string on
+// mutations, the same query answers (for LatestFitMax, also the solo
+// oracle's), the same step function, and valid invariants. A handle
 // cloned before an operation must render identically after it and
 // after every later one — no write ever reaches a node another handle
 // holds.
-// The op byte's quotient by 5 is a control field. Bit 0 set skips the
+// The op byte's quotient by 6 is a control field. Bit 0 set skips the
 // Clone before the step, so the fuzzer chooses how many mutations
 // (0 to 64) an edit carries; bit 1 set applies the step, Clone
 // included, to the clone the remaining bits pick, not the live handle,
@@ -650,6 +660,7 @@ func FuzzPersistentVsFlat(f *testing.F) {
 	f.Add(uint8(7), editRunSeed(64, 64))
 	f.Add(uint8(7), editRunSeed(64, 5))
 	f.Add(uint8(15), editSplitSeed())
+	f.Add(uint8(31), []byte{0, 0, 0, 100, 0, 20, 5, 40, 0, 200, 0, 12, 5, 0, 0, 90, 0, 0})
 	f.Fuzz(func(t *testing.T, capRaw uint8, ops []byte) {
 		capacity := int(capRaw%32) + 1
 		if len(ops) > 64*6 {
@@ -658,7 +669,7 @@ func FuzzPersistentVsFlat(f *testing.F) {
 		h := newEditHarness(t, capacity)
 		for step := 0; len(ops) >= 6; step++ {
 			op, start, end, procs := decodeTreeOp(ops)
-			ctl := int(ops[0]) / 5
+			ctl := int(ops[0]) / 6
 			ops = ops[6:]
 			target := 0
 			if ctl&2 != 0 && len(h.twins) > 1 {

@@ -385,9 +385,12 @@ func (p *Profile) LatestFit(procs int, dur model.Duration, notBefore, finishBy m
 	// run up there has runStart > finishBy >= runEnd - dur, and a run
 	// spanning the deadline gets runEnd clipped to finishBy whether
 	// the walk enters it from above or at the deadline segment. So
-	// jump straight to the segment containing finishBy.
+	// jump straight to the segment containing finishBy. Segments that
+	// end at or below lo cannot hold a start either (dur > 0), so the
+	// walk stops there: after a run clipped to lo fails, nothing lower
+	// can succeed.
 	i := p.segAt(finishBy)
-	for i >= 0 {
+	for i >= 0 && p.segEnd(i) > lo {
 		if p.free[i] < procs {
 			i--
 			continue
@@ -585,34 +588,128 @@ func (p *Profile) LatestFits(reqs []FitRequest, notBefore, finishBy model.Time, 
 				continue
 			}
 			// Segment infeasible: the run that was open (if any) starts
-			// at this segment's end.
-			if runEnd[j] != noRun {
-				runStart := p.segEnd(i)
-				if runStart < lo {
-					runStart = lo
-				}
-				if runEnd[j]-r.Dur >= runStart {
-					out[j], ok[j] = runEnd[j]-r.Dur, true
-					continue // resolved
-				}
-				runEnd[j] = noRun
-			}
+			// at this segment's end and is closed. Its start test needs
+			// no repeat: max(segEnd(i), lo) is the floor it already
+			// failed on segment i+1.
+			runEnd[j] = noRun
 			active[w] = j
 			w++
 		}
 		active = active[:w]
 	}
-	// Runs still open at the origin start at times[0] <= lo.
-	for _, j := range active {
-		if runEnd[j] == noRun {
-			continue
-		}
-		if runEnd[j]-reqs[j].Dur >= lo {
-			out[j], ok[j] = runEnd[j]-reqs[j].Dur, true
-		}
-	}
+	// Requests still active are unresolvable: the last segment swept
+	// had floor lo (it is segment 0, with times[0] <= lo, or the one
+	// below it ends at or below lo), and every open run failed there.
 	p.fitActive = active[:0]
 	return out, ok
+}
+
+// checkLadder panics unless reqs is an allocation ladder on a
+// capacity-processor cluster: every Procs in [1, capacity], every Dur
+// non-negative, Procs strictly increasing and Dur strictly
+// decreasing — the shape of a moldable task's candidate allocations.
+func checkLadder(reqs []FitRequest, capacity int) {
+	for j := 1; j < len(reqs); j++ {
+		if reqs[j].Procs <= reqs[j-1].Procs || reqs[j].Dur >= reqs[j-1].Dur {
+			panic(fmt.Sprintf("profile: LatestFitMax request %d (%d processors, %ds) does not extend the ladder (%d processors, %ds)",
+				j, reqs[j].Procs, reqs[j].Dur, reqs[j-1].Procs, reqs[j-1].Dur))
+		}
+	}
+	// On a ladder the end rungs bound every other.
+	if n := len(reqs); n > 0 {
+		for _, procs := range [2]int{reqs[0].Procs, reqs[n-1].Procs} {
+			if procs < 1 || procs > capacity {
+				panic(fmt.Sprintf("profile: LatestFitMax for %d processors on a %d-processor cluster", procs, capacity))
+			}
+		}
+		if reqs[n-1].Dur < 0 {
+			panic(fmt.Sprintf("profile: negative duration %d", reqs[n-1].Dur))
+		}
+	}
+}
+
+// LatestFitMax returns the request of the ladder reqs whose latest
+// feasible start in [notBefore, finishBy] is latest, with ties going
+// to the lowest index (the fewest processors); k is -1 when no request
+// fits. reqs must be a ladder (see checkLadder): Procs strictly
+// increasing, Dur strictly decreasing. The answer equals the best of
+// LatestFits(reqs, notBefore, finishBy) — the differential tests
+// enforce this — but the sweep keeps one staircase for the whole
+// ladder instead of one run per request, and stops at the first
+// segment where any request resolves.
+//
+// In-window requests (finishBy - Dur >= lo) form a suffix of the
+// ladder. Sweeping right to left, the open run of request j ends where
+// free last dropped below Procs_j; over the ladder those ends form a
+// staircase. Level l holds request js[l] and run end es[l], shared by
+// every request above the level below and up to js[l]; of those, js[l]
+// has the shortest Dur, so it alone can hold the level's latest start.
+// Levels are popped when free drops below their request and pushed
+// when it rises past the next one. A request still unresolved after
+// segment i starts, if at all, below max(times[i], lo), and every
+// request resolving at i starts at or above it: the first segment with
+// a resolution holds the maximum (DESIGN §18).
+func (p *Profile) LatestFitMax(reqs []FitRequest, notBefore, finishBy model.Time) (int, model.Time, bool) {
+	checkLadder(reqs, p.capacity)
+	lo := notBefore
+	if lo < p.times[0] {
+		lo = p.times[0]
+	}
+	n := len(reqs)
+	k0 := sort.Search(n, func(j int) bool { return finishBy-reqs[j].Dur >= lo })
+	if k0 == n {
+		return -1, 0, false
+	}
+	if reqs[n-1].Dur == 0 {
+		// Only the last rung can be empty, and no other start reaches
+		// finishBy.
+		return n - 1, finishBy, true
+	}
+	js, es := p.fitActive[:0], p.fitRunEnd[:0]
+	// The window is non-empty with Dur > 0, so finishBy > lo >= times[0].
+	for i := p.segAt(finishBy); i >= 0 && p.segEnd(i) > lo; i-- {
+		f := p.free[i]
+		e, popped := model.Time(0), false
+		for len(js) > 0 && reqs[js[len(js)-1]].Procs > f {
+			e, popped = es[len(es)-1], true
+			js, es = js[:len(js)-1], es[:len(es)-1]
+		}
+		next := k0 // the lowest request no level holds
+		if len(js) > 0 {
+			next = int(js[len(js)-1]) + 1
+		}
+		if next < n && reqs[next].Procs <= f {
+			if !popped {
+				// A run opens here, clipped by the deadline up front.
+				// After a pop, the popped requests that still fit keep
+				// the run end of the lowest popped level.
+				e = p.segEnd(i)
+				if e > finishBy {
+					e = finishBy
+				}
+			}
+			j := next + sort.Search(n-next, func(x int) bool { return reqs[next+x].Procs > f }) - 1
+			js, es = append(js, int32(j)), append(es, e)
+		}
+		floor := p.times[i]
+		if floor < lo {
+			floor = lo
+		}
+		// Levels run bottom to top in increasing request index, so the
+		// strict comparison keeps the lowest index on a tie.
+		k, best := -1, model.Time(0)
+		for l, j := range js {
+			if s := es[l] - reqs[j].Dur; s >= floor && (k < 0 || s > best) {
+				k, best = int(j), s
+			}
+		}
+		if k >= 0 {
+			p.fitActive, p.fitRunEnd = js[:0], es[:0]
+			return k, best, true
+		}
+	}
+	p.fitActive, p.fitRunEnd = js[:0], es[:0]
+	return -1, 0, false
 }
 
 // Segment is one constant-availability step: Free processors from

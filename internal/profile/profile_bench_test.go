@@ -97,4 +97,13 @@ func BenchmarkFitsBatch(b *testing.B) {
 			out, ok = p.LatestFits(reqs, model.Day, 12*model.Day, out, ok)
 		}
 	})
+	// The same ladder asked only for its latest start, as the
+	// aggressive deadline pick does: the staircase stops at the first
+	// segment where some request resolves.
+	b.Run("LatestFitMax/ladder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.LatestFitMax(reqs, model.Day, 12*model.Day)
+		}
+	})
 }

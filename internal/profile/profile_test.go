@@ -381,3 +381,24 @@ func TestAvgFreePrecision(t *testing.T) {
 		t.Fatalf("AvgFree clamped = %v, want 0", got)
 	}
 }
+
+// TestLatestFitQueriesAllocationFree pins the deadline schedulers'
+// probes at zero allocations on a warm flat profile: LatestFitMax's
+// staircase and LatestFits' run ends live in the profile's scratch,
+// and LatestFits writes into the caller's buffers.
+func TestLatestFitQueriesAllocationFree(t *testing.T) {
+	p := fuzzedProfile(rand.New(rand.NewSource(1)), 128, 60)
+	reqs := amdahlLadder(nil, model.Duration(6*model.Hour), 0.1, 128)
+	out, ok := p.LatestFits(reqs, model.Day, 12*model.Day, nil, nil)
+	p.LatestFitMax(reqs, model.Day, 12*model.Day)
+	if n := testing.AllocsPerRun(50, func() {
+		p.LatestFitMax(reqs, model.Day, 12*model.Day)
+	}); n != 0 {
+		t.Errorf("LatestFitMax allocates %.0f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		out, ok = p.LatestFits(reqs, model.Day, 12*model.Day, out, ok)
+	}); n != 0 {
+		t.Errorf("LatestFits allocates %.0f times per call, want 0", n)
+	}
+}
