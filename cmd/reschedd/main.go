@@ -9,10 +9,6 @@
 // resv" (-resv; its processor count and observation time override
 // -procs and -origin).
 //
-// With -shards N (and an -epoch length) the book is partitioned into
-// N time epochs with independent locks and commit stamps, so commits
-// into disjoint epochs proceed concurrently.
-//
 // With -online the daemon additionally runs the lifecycle engine
 // (internal/lifecycle): jobs submitted via POST /v1/jobs queue, place,
 // backfill under the activation guardrail, and receive
@@ -27,7 +23,6 @@
 //
 //	reschedd -addr :8080 -procs 128
 //	reschedd -addr :8080 -resv resv.json -workers 8 -log json
-//	reschedd -addr :8080 -shards 8 -epoch 86400
 //	reschedd -addr :8080 -pprof-addr localhost:6060
 //	reschedd -addr :8080 -online -backfill=true -starve-attempts 8
 //
@@ -72,8 +67,6 @@ func run() error {
 	maxBody := flag.Int64("max-body", 1<<20, "request body limit in bytes")
 	retries := flag.Int("retries", 8, "max version-conflict retries per commit")
 	logFormat := flag.String("log", "text", "log format: text or json")
-	shards := flag.Int("shards", 1, "number of time-epoch shards in the reservation book")
-	epoch := flag.Int64("epoch", int64(model.Day), "shard epoch length in seconds (used with -shards > 1)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty)")
 	online := flag.Bool("online", false, "run the online job lifecycle engine (enables the /v1/jobs API)")
 	tick := flag.Duration("tick", time.Second, "online engine scheduling period (requires -online)")
@@ -97,7 +90,7 @@ func run() error {
 	}
 	log := slog.New(handler)
 
-	book, err := buildBook(*resv, *procs, model.Time(*origin), *shards, model.Duration(*epoch))
+	book, err := buildBook(*resv, *procs, model.Time(*origin))
 	if err != nil {
 		return err
 	}
@@ -161,7 +154,6 @@ func run() error {
 			"addr", *addr,
 			"procs", book.Capacity(),
 			"origin", int64(book.Origin()),
-			"shards", book.NumShards(),
 			"reservations", len(book.List()),
 		)
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -242,11 +234,10 @@ func validateOnlineFlags(fs *flag.FlagSet, online bool) error {
 
 // buildBook seeds the reservation book: empty with the given capacity
 // and origin, or from a reservation-schedule file whose own processor
-// count and observation time take precedence. With shards > 1 the
-// book is partitioned into time epochs of the given length.
-func buildBook(resvPath string, procs int, origin model.Time, shards int, epoch model.Duration) (*resbook.Book, error) {
+// count and observation time take precedence.
+func buildBook(resvPath string, procs int, origin model.Time) (*resbook.Book, error) {
 	if resvPath == "" {
-		return resbook.NewSharded(procs, origin, shards, epoch)
+		return resbook.New(procs, origin), nil
 	}
 	f, err := os.Open(resvPath)
 	if err != nil {
@@ -257,12 +248,5 @@ func buildBook(resvPath string, procs int, origin model.Time, shards int, epoch 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", resvPath, err)
 	}
-	b, err := resbook.NewSharded(p, now, shards, epoch)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Seed(rs); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return resbook.FromReservations(p, now, rs)
 }

@@ -45,7 +45,6 @@ func run() error {
 	seed := flag.Int64("seed", 1, "synthetic trace random seed")
 	swf := flag.String("swf", "", "replay this SWF file instead of a synthetic trace")
 	procs := flag.Int("procs", 0, "override the cluster capacity (default: the trace's)")
-	shards := flag.Int("shards", 8, "time-epoch shards in the reservation book")
 	backfill := flag.Bool("backfill", true, "backfill queued jobs under the activation guardrail")
 	starveAttempts := flag.Int("starve-attempts", 8, "failed placement passes before a starvation reservation, <=0 disables")
 	starveAge := flag.Int64("starve-age", int64(15*model.Minute), "queue age in seconds before a starvation reservation, <=0 disables")
@@ -71,10 +70,7 @@ func run() error {
 	}
 
 	first, _ := lg.Span()
-	book, err := resbook.NewSharded(capacity, first, *shards, model.Day)
-	if err != nil {
-		return err
-	}
+	book := resbook.New(capacity, first)
 	sa := *starveAttempts
 	if sa <= 0 {
 		sa = -1

@@ -17,8 +17,7 @@ import (
 
 // The lock-contract directives are validated and enforced at call
 // sites by guardedby; lockhold and guardedby both apply them through
-// the shared lockset transfer (lockset.go). lockorder is lockhold's:
-// it exempts indexed same-field acquisitions.
+// the shared lockset transfer (lockset.go).
 const (
 	// HoldsDirective declares that callers must hold the named mutex.
 	HoldsDirective = "//reschedvet:holds"
@@ -28,10 +27,6 @@ const (
 	// ReleasesDirective declares that calling the function releases
 	// the named mutex.
 	ReleasesDirective = "//reschedvet:releases"
-	// LockOrderDirective declares that a function acquires same-field
-	// locks through strictly ascending indices — the sharded book's
-	// global lock order.
-	LockOrderDirective = "//reschedvet:lockorder"
 )
 
 // HasDirective reports whether the comment group carries the directive
@@ -220,26 +215,4 @@ func ResolveMutexSpec(pkg *types.Package, fn *types.Func, spec string) *types.Va
 		}
 	}
 	return nil
-}
-
-// IndexedLockOp reports whether call is a mutex Lock/RLock/Unlock/
-// RUnlock whose receiver expression is indexed — the `shards[i].mu`
-// shape the lockorder directive blesses.
-func IndexedLockOp(info *types.Info, call *ast.CallExpr) bool {
-	if key, acquire, release, _ := LockMethod(info, call); key == nil || (!acquire && !release) {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	indexed := false
-	ast.Inspect(sel.X, func(n ast.Node) bool {
-		if _, ok := n.(*ast.IndexExpr); ok {
-			indexed = true
-			return false
-		}
-		return true
-	})
-	return indexed
 }

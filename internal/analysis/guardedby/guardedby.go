@@ -1,8 +1,8 @@
 // Package guardedby checks the lock contracts of the serving tree's
 // helpers. The serving code factors critical sections through *Locked
-// methods that assume their caller holds a lock, and through lock-span
-// wrappers like the sharded book's lockShards/unlockShards that take
-// several shard locks behind one call. Three function directives make
+// methods that assume their caller holds a lock, and through wrappers
+// that acquire or release a lock behind one call. Three function
+// directives make
 // those contracts checkable instead of invisible:
 //
 //	//reschedvet:holds mu          the caller must hold mu (seeds the
@@ -14,7 +14,7 @@
 // A mutex is named by its field name, resolved against the receiver's
 // struct, or by Type.field against a struct type in the function's
 // package — the form lock wrappers need when the mutex lives in an
-// element type (bookShard.mu) rather than the receiver. Contracts
+// element type rather than the receiver. Contracts
 // export a LockContract fact so cross-package call sites see them, and
 // a directive naming no mutex, or one that does not resolve, is itself
 // a finding.

@@ -33,31 +33,13 @@
 // direct Lock/Unlock calls, deferred statements skipped, and the lock
 // contracts of this package's functions (//reschedvet:holds seeds a
 // body's entry set; a call to an :acquires or :releases function edits
-// the caller's), so the sharded book's sections behind lockShards are
-// checked too. Only the join differs: a union here, an intersection in
+// the caller's), so sections behind a lock-taking helper are checked
+// too. Only the join differs: a union here, an intersection in
 // guardedby.
 //
 // Goroutine launches are not blocking at the launch site and their
 // bodies run on their own stacks, so `go` statements are ignored both
 // here and in fact inference.
-//
-// # The lockorder directive
-//
-// The sharded reservation book acquires several locks of the same
-// field — b.shards[i].mu for ascending i — which the nested-lock rule
-// would otherwise flag as a same-key re-entrant deadlock. A function
-// whose doc comment carries
-//
-//	//reschedvet:lockorder
-//
-// declares that it participates in the book's global lock order:
-// every multi-lock acquisition walks shard indices strictly upward,
-// so overlapping spans cannot deadlock. Under the directive,
-// re-entrant and nested reports are suppressed only for lock
-// operations whose receiver is indexed (contains an IndexExpr);
-// acquiring a plain, non-indexed lock still gets the full check,
-// because the directive documents an indexed protocol, not a blanket
-// waiver.
 package lockhold
 
 import (
@@ -91,14 +73,12 @@ func init() {
 var Analyzer = &analysis.Analyzer{
 	Name: "lockhold",
 	Doc: "no blocking operation (channel op, sleep, Wait, nested lock, net I/O, or a call " +
-		"that may block) while a sync lock is held in the serving path; indexed same-field " +
-		"acquisitions are allowed under a //reschedvet:lockorder directive",
+		"that may block) while a sync lock is held in the serving path",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	mayBlock := inferMayBlock(pass)
-	ordered := lockOrderedDecls(pass)
 	if !CheckedPackages[pass.Pkg.Path()] {
 		return nil
 	}
@@ -112,23 +92,10 @@ func run(pass *analysis.Pass) error {
 	contract := func(fn *types.Func) *analysis.LockContractSpec { return contracts[fn] }
 	for _, fd := range decls {
 		if !pass.InTestFile(fd.Pos()) {
-			checkSections(pass, fd, contract, mayBlock, ordered[fd])
+			checkSections(pass, fd, contract, mayBlock)
 		}
 	}
 	return nil
-}
-
-// lockOrderedDecls collects the functions declaring the lockorder
-// directive, for indexed-acquisition suppression.
-func lockOrderedDecls(pass *analysis.Pass) map[*ast.FuncDecl]bool {
-	ordered := map[*ast.FuncDecl]bool{}
-	decls, _ := analysis.FuncDecls(pass.Files, pass.TypesInfo)
-	for _, fd := range decls {
-		if analysis.HasDirective(fd.Doc, analysis.LockOrderDirective) {
-			ordered[fd] = true
-		}
-	}
-	return ordered
 }
 
 // inferMayBlock computes which declared functions may block and
@@ -248,10 +215,8 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 // checkSections runs the may-held analysis over fd, starting from the
 // locks its own holds contract names, and reports blocking operations
 // under a lock. Lock contracts of this package's functions apply at
-// their call sites. ordered indicates a lockorder directive on fd:
-// indexed same-field acquisitions are then exempt from the re-entrant
-// and nested-lock reports.
-func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.ContractFunc, mayBlock map[*types.Func]bool, ordered bool) {
+// their call sites.
+func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.ContractFunc, mayBlock map[*types.Func]bool) {
 	info := pass.TypesInfo
 	cfg := analysis.NewCFG(fd.Body)
 	n := len(cfg.Blocks)
@@ -312,7 +277,7 @@ func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.Cont
 		held := heldIn[b.Index].Clone() // nil clones to empty: unreachable blocks hold nothing
 		for _, node := range b.Nodes {
 			if !comms[node] {
-				visitHeld(pass, node, held.Clone(), contract, mayBlock, ordered, deferred)
+				visitHeld(pass, node, held.Clone(), contract, mayBlock, deferred)
 			}
 			analysis.TransferLocks(info, node, held, contract)
 		}
@@ -392,11 +357,9 @@ func heldName(held analysis.Lockset) string {
 // held. local starts as the set held entering the node and follows the
 // node's own lock effects, so a Lock directly followed by a blocking
 // call in the same statement is still caught, and the acquiring call
-// itself is not. ordered exempts indexed acquisitions from the
-// re-entrant and nested-lock reports (lockorder directive); deferred
-// marks locks released by a same-block deferred unlock, which the
+// itself is not. deferred marks locks released by a same-block deferred unlock, which the
 // blocking reports call out as held until return.
-func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, contract analysis.ContractFunc, mayBlock map[*types.Func]bool, ordered bool, deferred map[*types.Var]bool) {
+func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, contract analysis.ContractFunc, mayBlock map[*types.Func]bool, deferred map[*types.Var]bool) {
 	info := pass.TypesInfo
 	analysis.WalkBlockNode(node, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -421,7 +384,7 @@ func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, contr
 				pass.Reportf(n.Pos(), "select without default may block while %s is held%s", heldName(local), deferNote(local, deferred))
 			}
 		case *ast.CallExpr:
-			reportCall(pass, n, local, mayBlock, ordered, deferred)
+			reportCall(pass, n, local, mayBlock, deferred)
 			analysis.ApplyLockCall(info, n, local, contract)
 		}
 		return true
@@ -431,15 +394,13 @@ func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, contr
 // reportCall reports a call that may block while local is held: a
 // lock acquisition (re-entrant or nested), a stdlib blocking entry
 // point, or a function that may block.
-func reportCall(pass *analysis.Pass, call *ast.CallExpr, local analysis.Lockset, mayBlock map[*types.Func]bool, ordered bool, deferred map[*types.Var]bool) {
+func reportCall(pass *analysis.Pass, call *ast.CallExpr, local analysis.Lockset, mayBlock map[*types.Func]bool, deferred map[*types.Var]bool) {
 	info := pass.TypesInfo
 	if key, acquire, _, _ := analysis.LockMethod(info, call); key != nil {
 		_, reentrant := local[key]
 		switch {
-		case !acquire || (ordered && analysis.IndexedLockOp(info, call)):
-			// A release, or declared lock-ordered and acquiring
-			// through an index: the ascending-order protocol, not a
-			// deadlock.
+		case !acquire:
+			// A release.
 		case reentrant:
 			pass.Reportf(call.Pos(), "re-entrant acquisition of %s deadlocks", key.Name())
 		case len(local) > 0:

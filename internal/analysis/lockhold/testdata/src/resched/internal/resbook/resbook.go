@@ -76,71 +76,8 @@ func (b *Book) NotifyAsync(ch chan int) {
 	}()
 }
 
-// Sharded mirrors the epoch-sharded book: per-shard locks acquired in
-// ascending index order under the lockorder directive.
-type Sharded struct {
-	shards []shard
-	mu     sync.Mutex
-}
-
-type shard struct {
-	mu    sync.Mutex
-	count int
-}
-
-// lockAll acquires every shard lock in ascending index order.
-//
-//reschedvet:lockorder
-func (s *Sharded) lockAll() { // negative: the directive blesses the indexed acquisitions
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-}
-
-// unlockAll releases in descending order; indexed releases satisfy
-// the directive's hygiene requirement too.
-//
-//reschedvet:lockorder
-func (s *Sharded) unlockAll() {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-}
-
-// Positive: the same loop without the directive is still a same-key
-// re-entrant acquisition as far as the may-held analysis can see.
-func (s *Sharded) lockAllUndeclared() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock() // want "re-entrant acquisition of mu deadlocks"
-	}
-}
-
-// Positive: the directive only covers indexed acquisitions — taking a
-// plain lock while the shard span is held is still nested locking.
-//
-//reschedvet:lockorder
-func (s *Sharded) lockAllThenBook(b *Book) {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	b.mu.Lock() // want "acquiring mu while mu is held nests locks in the serving path"
-	b.mu.Unlock()
-}
-
-// Negative: a lockorder declaration with no indexed lock operation
-// changes nothing here; the plain acquisition gets the full check.
-//
-//reschedvet:lockorder
-func (s *Sharded) Declared() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.shards {
-		s.shards[i].count++
-	}
-}
-
-// lockAll acquires the book's lock for its caller, as the sharded
-// book's lockShards does.
+// lockAll acquires the book's lock for its caller: a lock-taking
+// helper with an acquires contract.
 //
 //reschedvet:acquires mu
 func (b *Book) lockAll() {

@@ -10,14 +10,14 @@ var catalogue = []mutant{
 	// DESIGN §13: the Pending-start index and the recycled Transact
 	// buffer.
 	{"activate-skips-pop", "internal/resbook/resbook.go",
-		"r.Status = Active\n\t\t\tsh.settlePendingLocked()\n",
+		"r.Status = Active\n\t\tb.settlePendingLocked()\n",
 		"r.Status = Active\n"},
 	{"release-skips-pop", "internal/resbook/resbook.go",
-		"row.Status = Released\n\tb.shards[home].settlePendingLocked()\n",
-		"row.Status = Released\n"},
+		"r.Status = Released\n\tb.settlePendingLocked()\n",
+		"r.Status = Released\n"},
 	{"row-filed-without-push", "internal/resbook/resbook.go",
-		"sh.res[r.ID] = r\n\tsh.pushPendingLocked(r)\n",
-		"sh.res[r.ID] = r\n"},
+		"b.res[r.ID] = r\n\tb.pushPendingLocked(r)\n",
+		"b.res[r.ID] = r\n"},
 	{"transact-buffer-put-early", "internal/resbook/resbook.go",
 		"defer b.scratch.Put(prof)",
 		"b.scratch.Put(prof)"},
@@ -27,8 +27,8 @@ var catalogue = []mutant{
 		"\tt.seal()\n\treturn &PersistentProfile{",
 		"\treturn &PersistentProfile{"},
 	{"clone-inherits-token", "internal/profile/persistent.go",
-		"\tt.seal()\n\treturn &PersistentProfile{capacity: t.capacity, origin: t.origin, horizon: t.horizon, root: t.root, n: t.n, seed: t.seed}",
-		"\tc := &PersistentProfile{capacity: t.capacity, origin: t.origin, horizon: t.horizon, root: t.root, n: t.n, seed: t.seed}\n\tc.edit.Store(t.edit.Load())\n\tt.seal()\n\treturn c"},
+		"\tt.seal()\n\treturn &PersistentProfile{capacity: t.capacity, origin: t.origin, root: t.root, n: t.n, seed: t.seed}",
+		"\tc := &PersistentProfile{capacity: t.capacity, origin: t.origin, root: t.root, n: t.n, seed: t.seed}\n\tc.edit.Store(t.edit.Load())\n\tt.seal()\n\treturn c"},
 	{"one-token-for-every-edit", "internal/profile/persistent.go",
 		"t.edit.Store(editTokens.Add(1))",
 		"t.edit.Store(1)"},
@@ -87,13 +87,18 @@ var catalogue = []mutant{
 		"if p <= st.p {",
 		"if p == st.p {"},
 
-	// A skipped stamp bump and a window edge off by one.
-	{"skip-stamp-bump", "internal/resbook/resbook.go",
-		"\t\tb.shards[i].stamp++\n",
+	// The capacity-validated commit: a misfit that keeps the pieces
+	// applied before it, a fence that is never checked, and a misfit
+	// at the snapshot's own version reported as stale.
+	{"commit-keeps-pieces-on-misfit", "internal/resbook/resbook.go",
+		"\t\t\tfor k := i - 1; k >= 0; k-- {\n\t\t\t\tb.unreserveLocked(reqs[k])\n\t\t\t}\n",
 		""},
-	{"window-edge-off-by-one", "internal/resbook/resbook.go",
-		"\t\tif end > sh.end {\n\t\t\tend = sh.end\n\t\t}\n\t\tif end <= start {\n\t\t\tcontinue\n\t\t}\n\t\tif err := b.shardReserveLocked(",
-		"\t\tif end > sh.end-1 {\n\t\t\tend = sh.end - 1\n\t\t}\n\t\tif end <= start {\n\t\t\tcontinue\n\t\t}\n\t\tif err := b.shardReserveLocked("},
+	{"fence-not-checked", "internal/resbook/resbook.go",
+		"\tif len(b.pending) > 0 && b.pending[0].Start < fence {\n\t\treturn nil, fmt.Errorf(\"%w: reservation %s activates at %d, before %d\", ErrStale, b.pending[0].ID, b.pending[0].Start, fence)\n\t}\n",
+		""},
+	{"misfit-at-snapshot-version-stale", "internal/resbook/resbook.go",
+		"if v := b.version.Load(); v != snap.Version {",
+		"if v := b.version.Load(); v >= snap.Version {"},
 
 	// refguard: a reference implementation on a production path.
 	{"allocate-calls-reference", "internal/cpa/cpa.go",
@@ -132,8 +137,8 @@ var catalogue = []mutant{
 
 	// ctxflow: a fresh root context, and a non-Ctx sibling.
 	{"transact-background-ctx", "internal/lifecycle/engine.go",
-		"booked, _, err := e.book.Transact(ctx, e.cfg.MaxRetries, func(snap resbook.Snapshot) ([]resbook.Request, error) {\n\t\t// snap.Avail",
-		"booked, _, err := e.book.Transact(context.Background(), e.cfg.MaxRetries, func(snap resbook.Snapshot) ([]resbook.Request, error) {\n\t\t// snap.Avail"},
+		"booked, _, err := e.book.TransactBefore(ctx, e.cfg.MaxRetries, fence, func(snap resbook.Snapshot) ([]resbook.Request, error) {",
+		"booked, _, err := e.book.TransactBefore(context.Background(), e.cfg.MaxRetries, fence, func(snap resbook.Snapshot) ([]resbook.Request, error) {"},
 	{"deadline-without-ctx", "internal/server/handlers.go",
 		"sched, err := sch.DeadlineCtx(r.Context(), env, algo, k)",
 		"sched, err := sch.Deadline(env, algo, k)"},
@@ -147,10 +152,10 @@ var catalogue = []mutant{
 		"\t\treturn nil, fmt.Errorf(\"core: %v is not an aggressive deadline algorithm\", algo)\n",
 		"\t\tqRef = q\n"},
 
-	// snapshotmut: a snapshot that hands out the shard's live profile.
-	{"snapshot-aliases-shard", "internal/resbook/resbook.go",
-		"sh.prof.CloneInto(dst)",
-		"snap.Avail = sh.prof"},
+	// snapshotmut: a snapshot that hands out the book's live profile.
+	{"snapshot-aliases-book", "internal/resbook/resbook.go",
+		"b.prof.CloneInto(dst)",
+		"snap.Avail = b.prof"},
 
 	// lockhold: a book operation, a Wait, a re-acquire and a blocking
 	// send under a lock.
@@ -161,8 +166,8 @@ var catalogue = []mutant{
 		"\tcancel := e.cancel\n\te.mu.Unlock()\n\tif cancel != nil {\n\t\tcancel()\n\t}\n\te.wg.Wait()\n",
 		"\tcancel := e.cancel\n\tif cancel != nil {\n\t\tcancel()\n\t}\n\te.wg.Wait()\n\te.mu.Unlock()\n"},
 	{"activate-drops-unlock", "internal/resbook/resbook.go",
-		"\t\tif !ok {\n\t\t\tsh.mu.Unlock()\n\t\t\tcontinue\n\t\t}\n\t\tif r.Status == Released {",
-		"\t\tif !ok {\n\t\t\tcontinue\n\t\t}\n\t\tif r.Status == Released {"},
+		"func (b *Book) Activate(id string) error {\n\tb.mu.Lock()\n\tdefer b.mu.Unlock()\n",
+		"func (b *Book) Activate(id string) error {\n\tb.mu.Lock()\n"},
 
 	{"submit-wakes-under-lock", "internal/lifecycle/lifecycle.go",
 		"\tout := *j\n\te.mu.Unlock()\n\te.stats.arrivals.Add(1)\n\tif e.started.Load() {\n\t\tselect {\n\t\tcase e.wake <- struct{}{}:\n\t\tdefault:\n\t\t}\n\t}\n",
@@ -173,12 +178,6 @@ var catalogue = []mutant{
 	{"forecast-snapshot-under-lock", "internal/lifecycle/lifecycle.go",
 		"\tjob := *j\n\tnow := e.now\n\te.mu.Unlock()\n",
 		"\tjob := *j\n\tnow := e.now\n\tdefer e.mu.Unlock()\n"},
-
-	// An equivalent mutant for the lockorder hygiene: the same ascending
-	// loop through a local, with no indexed lock operation left.
-	{"lockshards-via-local", "internal/resbook/resbook.go",
-		"\tfor i := lo; i <= hi; i++ {\n\t\tb.shards[i].mu.Lock()\n\t}",
-		"\tfor i := lo; i <= hi; i++ {\n\t\tsh := &b.shards[i]\n\t\tsh.mu.Lock()\n\t}"},
 
 	// errdrop: a blank discard, a bare call and an overwritten error.
 	{"release-error-discarded", "internal/lifecycle/engine.go",
@@ -209,18 +208,18 @@ var catalogue = []mutant{
 		"\tm.mu.Lock()\n\tm.lat[m.n%latWindow] = d\n\tm.n++\n\tm.mu.Unlock()\n",
 		"\tm.lat[m.n%latWindow] = d\n\tm.n++\n"},
 	{"pending-peek-without-lock", "internal/resbook/resbook.go",
-		"\t\tsh.mu.RLock()\n\t\tif len(sh.pending) > 0 {\n\t\t\tat, ok = min(at, sh.pending[0].Start), true\n\t\t}\n\t\tsh.mu.RUnlock()\n",
-		"\t\tif len(sh.pending) > 0 {\n\t\t\tat, ok = min(at, sh.pending[0].Start), true\n\t\t}\n"},
+		"\tb.mu.RLock()\n\tdefer b.mu.RUnlock()\n\tif len(b.pending) == 0 {",
+		"\tif len(b.pending) == 0 {"},
 	{"activate-under-read-lock", "internal/resbook/resbook.go",
-		"\t\tsh.mu.Lock()\n\t\tr, ok := sh.res[id]\n\t\tif !ok {\n\t\t\tsh.mu.Unlock()\n\t\t\tcontinue\n\t\t}\n\t\tif r.Status == Released {\n\t\t\tsh.mu.Unlock()\n\t\t\treturn fmt.Errorf(\"%w: %s\", ErrReleased, id)\n\t\t}\n\t\tif r.Status == Pending {\n\t\t\tr.Status = Active\n\t\t\tsh.settlePendingLocked()\n\t\t\tsh.stamp++\n\t\t\tb.version.Add(1)\n\t\t}\n\t\tsh.mu.Unlock()\n",
-		"\t\tsh.mu.RLock()\n\t\tr, ok := sh.res[id]\n\t\tif !ok {\n\t\t\tsh.mu.RUnlock()\n\t\t\tcontinue\n\t\t}\n\t\tif r.Status == Released {\n\t\t\tsh.mu.RUnlock()\n\t\t\treturn fmt.Errorf(\"%w: %s\", ErrReleased, id)\n\t\t}\n\t\tif r.Status == Pending {\n\t\t\tr.Status = Active\n\t\t\tsh.settlePendingLocked()\n\t\t\tsh.stamp++\n\t\t\tb.version.Add(1)\n\t\t}\n\t\tsh.mu.RUnlock()\n"},
+		"func (b *Book) Activate(id string) error {\n\tb.mu.Lock()\n\tdefer b.mu.Unlock()\n",
+		"func (b *Book) Activate(id string) error {\n\tb.mu.RLock()\n\tdefer b.mu.RUnlock()\n"},
 	{"dequeue-after-unlock", "internal/lifecycle/engine.go",
 		"\t\tj.GuardBound = guard\n\t\te.removeQueuedLocked(id)\n\t\theap.Push(&e.events, event{at: res.End, kind: evComplete, jobID: id, resID: res.ID})\n\t}\n\te.mu.Unlock()\n",
 		"\t\tj.GuardBound = guard\n\t\theap.Push(&e.events, event{at: res.End, kind: evComplete, jobID: id, resID: res.ID})\n\t}\n\te.mu.Unlock()\n\te.removeQueuedLocked(id)\n"},
 
-	{"commit-without-shard-locks", "internal/resbook/resbook.go",
-		"\tb.lockShards(lo, hi)\n\tdefer b.unlockShards(lo, hi)\n\tif len(snap.Epochs) != len(b.shards) {",
-		"\tif len(snap.Epochs) != len(b.shards) {"},
+	{"commit-without-lock", "internal/resbook/resbook.go",
+		"\tb.mu.Lock()\n\tdefer b.mu.Unlock()\n\tif len(b.pending) > 0 && b.pending[0].Start < fence {",
+		"\tif len(b.pending) > 0 && b.pending[0].Start < fence {"},
 
 	// atomicmix: the latency counter moved to an atomic outside the
 	// lock while quantiles still reads it plainly.

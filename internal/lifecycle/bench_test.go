@@ -11,10 +11,7 @@ import (
 
 func benchEngine(b *testing.B, capacity int, cfg Config) *Engine {
 	b.Helper()
-	book, err := resbook.NewSharded(capacity, 0, 8, model.Hour)
-	if err != nil {
-		b.Fatalf("NewSharded: %v", err)
-	}
+	book := resbook.New(capacity, 0)
 	cfg.Book = book
 	e, err := New(cfg)
 	if err != nil {

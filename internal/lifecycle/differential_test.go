@@ -12,7 +12,7 @@ package lifecycle
 //  2. Flat-profile replay: every reservation window the engine booked
 //     over the whole run must co-exist in a fresh flat profile. Any
 //     instant where concurrently-running windows exceeded capacity
-//     makes the oracle's Reserve fail, independent of the sharded
+//     makes the oracle's Reserve fail, independent of the live
 //     book, the tree backend, and the optimistic commit path that
 //     produced the schedule.
 
@@ -55,10 +55,7 @@ func randomTrace(rng *rand.Rand, capacity, n int) []Arrival {
 // table for comparison with the Replay run's.
 func guardOracleRun(t *testing.T, seed int64, cfg Config, trace []Arrival) []Job {
 	t.Helper()
-	book, err := resbook.NewSharded(cfg.Book.Capacity(), 0, 8, model.Hour)
-	if err != nil {
-		t.Fatalf("seed %d: NewSharded: %v", seed, err)
-	}
+	book := resbook.New(cfg.Book.Capacity(), 0)
 	cfg.Book = book
 	e, err := New(cfg)
 	if err != nil {
@@ -145,10 +142,7 @@ func TestBackfillGuardrailDifferential(t *testing.T) {
 	var totalBackfills, totalStarved uint64
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		book, err := resbook.NewSharded(capacity, 0, 8, model.Hour)
-		if err != nil {
-			t.Fatalf("seed %d: NewSharded: %v", seed, err)
-		}
+		book := resbook.New(capacity, 0)
 		cfg := Config{
 			Book:           book,
 			Backfill:       true,

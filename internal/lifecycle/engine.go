@@ -166,7 +166,7 @@ func (e *Engine) schedulePass(ctx context.Context, now model.Time) error {
 		placed := false
 		backfilled := false
 		if !blocked {
-			res, ok, err := e.tryStartNow(ctx, job, now)
+			res, ok, err := e.tryStartNow(ctx, job, now, e.book.Origin())
 			if err != nil {
 				return err
 			}
@@ -176,7 +176,10 @@ func (e *Engine) schedulePass(ctx context.Context, now model.Time) error {
 			}
 			blocked = true
 		} else if e.cfg.Backfill && (!hasGuard || now+job.Dur <= guard) {
-			res, ok, err := e.tryStartNow(ctx, job, now)
+			// guard was read before this pass; the fence re-checks it
+			// when the placement commits, against Pending rows other
+			// writers booked since.
+			res, ok, err := e.tryStartNow(ctx, job, now, now+job.Dur)
 			if err != nil {
 				return err
 			}
@@ -215,11 +218,13 @@ func (e *Engine) schedulePass(ctx context.Context, now model.Time) error {
 }
 
 // tryStartNow books and activates [now, now+dur) for the job if the
-// profile fits it immediately. It reports ok=false both when there is
-// no immediate fit and when the optimistic loop exhausted its retries
-// (the next pass re-evaluates); any other failure is an engine error.
-func (e *Engine) tryStartNow(ctx context.Context, job Job, now model.Time) (resbook.Reservation, bool, error) {
-	booked, _, err := e.book.Transact(ctx, e.cfg.MaxRetries, func(snap resbook.Snapshot) ([]resbook.Request, error) {
+// profile fits it immediately and no Pending reservation starts before
+// fence when it commits (the book's origin fences nothing). It reports
+// ok=false both when there is no immediate fit and when the optimistic
+// loop exhausted its retries (the next pass re-evaluates); any other
+// failure is an engine error.
+func (e *Engine) tryStartNow(ctx context.Context, job Job, now, fence model.Time) (resbook.Reservation, bool, error) {
+	booked, _, err := e.book.TransactBefore(ctx, e.cfg.MaxRetries, fence, func(snap resbook.Snapshot) ([]resbook.Request, error) {
 		// snap.Avail already is the right query backend: a zero-copy
 		// persistent handle on the default book, a flat profile on the
 		// oracle backend or below the auto threshold.
@@ -247,9 +252,10 @@ func (e *Engine) tryStartNow(ctx context.Context, job Job, now model.Time) (resb
 }
 
 // reserveEarliest books the starvation reservation: the job's window
-// at its earliest feasible start strictly derived from the snapshot
-// the commit validates against. ok=false means the optimistic loop
-// lost every retry to concurrent writers.
+// at its earliest feasible start as of the snapshot. The commit
+// checks only that the window still fits, so a release that lands
+// after the snapshot may leave an earlier start free. ok=false means
+// the optimistic loop lost every retry to concurrent writers.
 func (e *Engine) reserveEarliest(ctx context.Context, job Job, now model.Time) (resbook.Reservation, bool, error) {
 	booked, _, err := e.book.Transact(ctx, e.cfg.MaxRetries, func(snap resbook.Snapshot) ([]resbook.Request, error) {
 		fit, err := snap.Avail.EarliestFitChecked(job.Procs, job.Dur, now)

@@ -11,13 +11,10 @@ import (
 	"resched/internal/resbook"
 )
 
-// newEngine builds an engine over a sharded book for tests.
+// newEngine builds an engine over a book for tests.
 func newEngine(t *testing.T, capacity int, cfg Config) *Engine {
 	t.Helper()
-	book, err := resbook.NewSharded(capacity, 0, 4, model.Hour)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
+	book := resbook.New(capacity, 0)
 	cfg.Book = book
 	e, err := New(cfg)
 	if err != nil {
@@ -57,7 +54,7 @@ func wantState(t *testing.T, e *Engine, id string, want State) Job {
 // TestCannedTrace is the acceptance scenario: an 8-processor cluster
 // where a wide job starves into an advance reservation and a narrow
 // job backfills under the activation guardrail, driven end to end
-// through the sharded book's Pending→Active→Released lifecycle.
+// through the book's Pending→Active→Released lifecycle.
 func TestCannedTrace(t *testing.T) {
 	e := newEngine(t, 8, Config{Backfill: true, StarveAttempts: 3, StarveAge: -1})
 

@@ -21,10 +21,7 @@ import (
 // and refused to launch, or Close cancelled and joined it).
 func TestStartCloseRace(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		book, err := resbook.NewSharded(8, 0, 2, model.Hour)
-		if err != nil {
-			t.Fatalf("NewSharded: %v", err)
-		}
+		book := resbook.New(8, 0)
 		e, err := New(Config{Book: book, Tick: time.Millisecond})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -59,10 +56,7 @@ func TestStartCloseRace(t *testing.T) {
 // Start must report ErrStopped rather than launching a loop nobody
 // will ever stop.
 func TestCloseBeforeStart(t *testing.T) {
-	book, err := resbook.NewSharded(8, 0, 2, model.Hour)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
+	book := resbook.New(8, 0)
 	e, err := New(Config{Book: book, Tick: time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)

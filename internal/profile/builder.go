@@ -1,11 +1,11 @@
 package profile
 
-// This file holds the incremental step-function builder the sharded
-// reservation book uses to assemble a global snapshot profile out of
-// per-shard profiles: Reset the destination, then AppendWindow each
-// shard's window in ascending time order. The appends coalesce across
-// shard boundaries, so the assembled profile satisfies the same
-// representation invariants as one built by Reserve calls.
+// This file holds the incremental step-function builder the
+// reservation book uses to materialize a small snapshot into a pooled
+// flat profile: Reset the destination, then AppendFree each segment in
+// ascending time order. The appends coalesce, so the assembled profile
+// satisfies the same representation invariants as one built by Reserve
+// calls.
 
 import (
 	"fmt"
@@ -15,7 +15,7 @@ import (
 
 // Reset reinitializes p as a fully free profile for a cluster of the
 // given capacity starting at origin, reusing p's backing arrays. It is
-// the starting point for AppendFree/AppendWindow assembly.
+// the starting point for AppendFree assembly.
 func (p *Profile) Reset(capacity int, origin model.Time) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("profile: capacity %d < 1", capacity))
@@ -54,20 +54,4 @@ func (p *Profile) AppendFree(t model.Time, free int) {
 	}
 	p.times = append(p.times, t)
 	p.free = append(p.free, free)
-}
-
-// AppendWindow appends src's step function restricted to [from, to),
-// clamping the first segment's start to from. from must be within
-// src's horizon (>= src's origin) and not precede p's last breakpoint.
-func (p *Profile) AppendWindow(src *Profile, from, to model.Time) {
-	if to <= from {
-		return
-	}
-	for i := src.segAt(from); i < len(src.times) && src.times[i] < to; i++ {
-		t := src.times[i]
-		if t < from {
-			t = from
-		}
-		p.AppendFree(t, src.free[i])
-	}
 }

@@ -7,7 +7,7 @@ package profile
 // the differential-test oracle. PersistentProfile (persistent.go)
 // indexes the same step function with a copy-on-write treap and
 // answers the same queries in O(log n) per probe; Clone is O(1), which
-// is why the reservation book's shards and every snapshot of a large
+// is why the reservation book's profile and every snapshot of a large
 // book are persistent handles. Callers (internal/cpa, internal/core,
 // internal/server) are written against Intervals and never pick a
 // backend; CopyIntervals keeps whichever backend it is handed.
@@ -76,7 +76,7 @@ func (p *Profile) CloneIntervals() Intervals { return p.Clone() }
 
 // AutoTreeThreshold is the segment count below which the reservation
 // book's SnapshotInto materializes a persistent snapshot into a flat
-// profile rather than sharing the shard roots. Materializing costs
+// profile rather than sharing the book's root. Materializing costs
 // O(n) once, after which each flat probe is cheaper than a tree probe
 // at these sizes, so where the cut belongs depends on how many probes
 // a snapshot answers; BenchmarkSnapshotArms sweeps both arms across it

@@ -29,28 +29,21 @@ package profile
 // handle is never written again.
 //
 // That makes Clone an O(1) struct copy sharing the root pointer, which
-// is what the sharded reservation book needs: taking a global snapshot
-// becomes grabbing one root pointer + stamp per shard under RLock —
-// O(#shards) instead of O(R) — and an old snapshot handle keeps
-// answering queries against its frozen root while commits path-copy
-// new roots beside it. Old roots are reclaimed by the Go GC once no
-// snapshot references them; there is no free list and no manual
-// reclamation.
+// is what the reservation book needs: taking a snapshot becomes
+// grabbing one root pointer under RLock — O(1) instead of O(R) — and
+// an old snapshot handle keeps answering queries against its frozen
+// root while commits path-copy new roots beside it. Old roots are
+// reclaimed by the Go GC once no snapshot references them; there is
+// no free list and no manual reclamation.
 //
 // Read paths are mutation-free: query descents accumulate pending lazy
 // adds of strict ancestors in an acc parameter and never push tags
 // down, so a root shared by any number of snapshot handles can be
 // probed concurrently without copying.
 //
-// A PersistentProfile can also represent a bounded window
-// [origin, horizon) of the step function — the shard-local trees of
-// the reservation book — and key-adjacent windows concatenate in
-// O(log n) path-copies per boundary (ConcatPersistent), which is how
-// a multi-shard snapshot assembles one queryable handle without
-// flattening. Full-horizon handles (horizon == model.Infinity) are
-// semantically bit-identical to the flat backend — same results, same
-// error messages, same panics — enforced by the differential tests
-// and FuzzPersistentVsFlat.
+// A PersistentProfile is semantically bit-identical to the flat
+// backend — same results, same error messages, same panics — enforced
+// by the differential tests and FuzzPersistentVsFlat.
 
 import (
 	"fmt"
@@ -103,49 +96,30 @@ type pnode struct {
 // still holds.
 var editTokens atomic.Uint64
 
-// PersistentProfile is a step function of free processors over
-// [origin, horizon) answering queries in O(log n) with O(1) snapshots.
-// The zero value is not usable; construct with NewTree,
-// NewPersistentFromProfile, or NewPersistentWindow.
+// PersistentProfile is a step function of free processors from origin
+// onward answering queries in O(log n) with O(1) snapshots. The zero
+// value is not usable; construct with NewTree or
+// NewPersistentFromProfile.
 type PersistentProfile struct {
 	capacity int
 	origin   model.Time
-	// horizon is the exclusive end of the represented window:
-	// model.Infinity for a full profile, the shard window's end for the
-	// reservation book's per-shard trees. Reserve/Unreserve at
-	// end == horizon skip the end breakpoint (the neighbouring window
-	// owns it); ConcatPersistent joins adjacent windows back into a
-	// full-horizon profile.
-	horizon model.Time
-	root    *pnode
-	n       int // live segment count
-	seed    uint64
+	root     *pnode
+	n        int // live segment count
+	seed     uint64
 	// edit is the token of the handle's open edit, 0 when sealed. It is
-	// atomic because Clone retires it, and the book clones a shard's
-	// handle under RLock, possibly from several goroutines at once.
+	// atomic because Clone retires it, and the book clones its tree
+	// under RLock, possibly from several goroutines at once.
 	edit atomic.Uint64
 }
 
 // NewTree returns an empty persistent profile: capacity processors
 // free from origin onward.
 func NewTree(capacity int, origin model.Time) *PersistentProfile {
-	return NewPersistentWindow(capacity, origin, model.Infinity, 0)
-}
-
-// NewPersistentWindow returns an empty persistent profile representing
-// the window [origin, horizon): capacity processors free throughout.
-// seedBase offsets the node-priority stream so sibling windows (the
-// book's shards) draw from disjoint splitmix64 streams and their
-// treaps stay balanced after ConcatPersistent.
-func NewPersistentWindow(capacity int, origin, horizon model.Time, seedBase uint64) *PersistentProfile {
 	if capacity < 1 {
 		panic(fmt.Sprintf("profile: capacity %d < 1", capacity))
 	}
 	checkNodeCapacity(capacity)
-	if horizon <= origin {
-		panic(fmt.Sprintf("profile: window [%d,%d) is empty", origin, horizon))
-	}
-	t := &PersistentProfile{capacity: capacity, origin: origin, horizon: horizon, seed: seedBase}
+	t := &PersistentProfile{capacity: capacity, origin: origin}
 	t.root = t.newNode(origin, capacity)
 	t.n = 1
 	return t
@@ -155,7 +129,7 @@ func NewPersistentWindow(capacity int, origin, horizon model.Time, seedBase uint
 // profile p, built in O(n). p is not retained.
 func NewPersistentFromProfile(p *Profile) *PersistentProfile {
 	checkNodeCapacity(p.capacity)
-	t := &PersistentProfile{capacity: p.capacity, origin: p.times[0], horizon: model.Infinity}
+	t := &PersistentProfile{capacity: p.capacity, origin: p.times[0]}
 	t.buildSorted(p.times, p.free)
 	return t
 }
@@ -211,11 +185,11 @@ func pullAllFresh(n *pnode) {
 // and path-copies what the other can still reach.
 func (t *PersistentProfile) Clone() *PersistentProfile {
 	t.seal()
-	return &PersistentProfile{capacity: t.capacity, origin: t.origin, horizon: t.horizon, root: t.root, n: t.n, seed: t.seed}
+	return &PersistentProfile{capacity: t.capacity, origin: t.origin, root: t.root, n: t.n, seed: t.seed}
 }
 
 // seal retires the handle's edit token: the nodes it stamped become
-// immutable. Concurrent sealers (snapshots under one shard's RLock)
+// immutable. Concurrent sealers (snapshots under the book's RLock)
 // store the same 0; the test skips the store, and the cache-line
 // bounce, when nothing is open.
 func (t *PersistentProfile) seal() {
@@ -266,10 +240,6 @@ func (t *PersistentProfile) Capacity() int { return t.capacity }
 
 // Origin returns the start of the profile's horizon.
 func (t *PersistentProfile) Origin() model.Time { return t.origin }
-
-// Horizon returns the exclusive end of the represented window:
-// model.Infinity for a full profile.
-func (t *PersistentProfile) Horizon() model.Time { return t.horizon }
 
 // NumSegments returns the number of segments of the step function.
 func (t *PersistentProfile) NumSegments() int { return t.n }
@@ -736,16 +706,14 @@ func (t *PersistentProfile) AvgFree(start, end model.Time) float64 {
 		return k < end
 	})
 	if started && prevKey < end {
-		emit(prevKey, t.horizon, prevVal)
+		emit(prevKey, model.Infinity, prevVal)
 	}
 	return acc / float64(end-start)
 }
 
 // EarliestFit returns the earliest start time s >= notBefore such that
 // procs processors are free during [s, s+dur); see the flat backend
-// for the full contract. Fit queries require a full-horizon profile
-// (horizon == model.Infinity) — shard-window trees answer them only
-// after ConcatPersistent.
+// for the full contract.
 func (t *PersistentProfile) EarliestFit(procs int, dur model.Duration, notBefore model.Time) model.Time {
 	if procs < 1 || procs > t.capacity {
 		panic(fmt.Sprintf("profile: EarliestFit for %d processors on a %d-processor cluster", procs, t.capacity))
@@ -954,9 +922,7 @@ func (t *PersistentProfile) unreserveChecks(start, end model.Time, procs int) er
 // handle's open edit owns them, as stamped copies otherwise — and
 // swinging t.root to the result; same contract and failure modes as
 // the flat backend. Other handles are unaffected: no node they can
-// reach is owned by this edit. For a window tree, end may equal the
-// horizon: the end breakpoint then belongs to the neighbouring window
-// and is skipped.
+// reach is owned by this edit.
 func (t *PersistentProfile) Reserve(start, end model.Time, procs int) error {
 	if err := t.reserveChecks(start, end, procs); err != nil {
 		return err
@@ -982,60 +948,10 @@ func (t *PersistentProfile) Unreserve(start, end model.Time, procs int) error {
 func (t *PersistentProfile) addRange(start, end model.Time, d int32) {
 	t.beginEdit()
 	t.ensureBreak(start)
-	if end < t.horizon {
-		t.ensureBreak(end)
-	}
+	t.ensureBreak(end)
 	t.root = t.rangeAdd(t.root, keyFloor, keyCeil, start, end, d)
-	if end < t.horizon {
-		t.coalesceBoundary(end)
-	}
+	t.coalesceBoundary(end)
 	t.coalesceBoundary(start)
-}
-
-// ---- window concatenation ----
-
-// ConcatPersistent joins adjacent window profiles into one full
-// profile in O(#parts · log n) path-copies: parts must be in ascending
-// time order with parts[i].Horizon() == parts[i+1].Origin(), equal
-// capacities, and the last part's horizon == model.Infinity. The parts'
-// step functions are not modified — their roots are shared, so each
-// part is sealed as by Clone — and the book's shard roots stay live
-// behind the returned handle, itself sealed: a snapshot handed to many
-// goroutines is cloned by each without a single write. Boundary
-// breakpoints whose segment value equals the predecessor window's last
-// segment are coalesced away, so the result is canonical — Segments,
-// String, and Check match a flat profile built from the same
-// reservations byte for byte.
-func ConcatPersistent(parts []*PersistentProfile) *PersistentProfile {
-	if len(parts) == 0 {
-		panic("profile: ConcatPersistent of no windows")
-	}
-	out := parts[0].Clone()
-	out.beginEdit()
-	for _, p := range parts[1:] {
-		p.seal()
-		if p.origin != out.horizon {
-			panic(fmt.Sprintf("profile: window starting %d does not abut horizon %d", p.origin, out.horizon))
-		}
-		if p.capacity != out.capacity {
-			panic(fmt.Sprintf("profile: window capacity %d != %d", p.capacity, out.capacity))
-		}
-		_, lastVal, _ := out.floor(p.origin - 1)
-		_, firstVal, _ := p.floor(p.origin)
-		out.root = out.merge(out.root, p.root)
-		out.n += p.n
-		out.horizon = p.horizon
-		// Mix the window's stream into the seed so post-concat staging
-		// mutations (snapshot handles absorb trial reservations) keep a
-		// deterministic priority stream.
-		out.seed = splitmix64(out.seed ^ p.seed)
-		if firstVal == lastVal {
-			out.root = out.erase(out.root, p.origin)
-			out.n--
-		}
-	}
-	out.seal()
-	return out
 }
 
 // ---- rendering and invariants ----
@@ -1052,9 +968,7 @@ func (t *PersistentProfile) Segments() []Segment {
 
 // Check verifies the representation invariants, reporting the same
 // violations (same messages) as the flat backend plus tree-specific
-// bookkeeping. For a window tree the final-segment-fully-free rule is
-// skipped (a window may end mid-reservation) and keys must stay inside
-// [origin, horizon).
+// bookkeeping.
 func (t *PersistentProfile) Check() error {
 	if t.n < 1 {
 		return fmt.Errorf("profile: %d times, %d free values", t.n, t.n)
@@ -1067,10 +981,6 @@ func (t *PersistentProfile) Check() error {
 	t.visit(t.root, 0, func(k model.Time, v int) bool {
 		if i == 0 && k != t.origin {
 			err = fmt.Errorf("profile: first breakpoint %d is not the origin %d", k, t.origin)
-			return false
-		}
-		if k >= t.horizon {
-			err = fmt.Errorf("profile: breakpoint %d beyond window horizon %d", k, t.horizon)
 			return false
 		}
 		if i > 0 && k <= prevKey {
@@ -1096,7 +1006,7 @@ func (t *PersistentProfile) Check() error {
 	if i != t.n {
 		return fmt.Errorf("profile: tree holds %d segments, count says %d", i, t.n)
 	}
-	if t.horizon == model.Infinity && last != t.capacity {
+	if last != t.capacity {
 		return fmt.Errorf("profile: final segment not fully free")
 	}
 	return t.checkHeap(t.root)

@@ -153,101 +153,6 @@ func TestPersistentMatchesFlatRandom(t *testing.T) {
 	}
 }
 
-// TestPersistentWindowConcat splits a horizon into shard-style windows,
-// applies each reservation clipped per window (exactly as the book's
-// applyLocked does), and requires ConcatPersistent of the windows to
-// match a flat profile holding the unclipped reservations byte for
-// byte — including boundary coalescing where a reservation spans or
-// abuts a window edge.
-func TestPersistentWindowConcat(t *testing.T) {
-	const capacity = 32
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed * 101))
-		nWin := 1 + rng.Intn(7)
-		epoch := model.Duration(64 + rng.Int63n(256))
-		horizon := model.Time(int64(nWin) * int64(epoch) * 2)
-
-		wins := make([]*PersistentProfile, nWin)
-		for i := range wins {
-			start := model.Time(int64(i) * int64(epoch))
-			end := model.Time(int64(i+1) * int64(epoch))
-			if i == nWin-1 {
-				end = model.Infinity
-			}
-			wins[i] = NewPersistentWindow(capacity, start, end, uint64(i)<<32)
-		}
-		flat := New(capacity, 0)
-
-		for _, spec := range randomReservations(rng, 60, capacity, horizon) {
-			if err := flat.Reserve(spec.start, spec.end, spec.procs); err != nil {
-				t.Fatalf("seed %d: flat reserve: %v", seed, err)
-			}
-			for _, w := range wins {
-				s, e := spec.start, spec.end
-				if s < w.Origin() {
-					s = w.Origin()
-				}
-				if e > w.Horizon() {
-					e = w.Horizon()
-				}
-				if e <= s {
-					continue
-				}
-				if err := w.Reserve(s, e, spec.procs); err != nil {
-					t.Fatalf("seed %d: window [%d,%d) reserve [%d,%d)x%d: %v",
-						seed, w.Origin(), w.Horizon(), s, e, spec.procs, err)
-				}
-			}
-			all := ConcatPersistent(wins)
-			if err := all.Check(); err != nil {
-				t.Fatalf("seed %d: concat invariants: %v", seed, err)
-			}
-			if all.String() != flat.String() {
-				t.Fatalf("seed %d: concat divergence\n  concat %s\n  flat   %s", seed, all, flat)
-			}
-			// The concatenated handle answers queries identically too.
-			if q := flat.EarliestFit(capacity/2, 10, 0); q != all.EarliestFit(capacity/2, 10, 0) {
-				t.Fatalf("seed %d: concat EarliestFit %d, flat %d", seed, all.EarliestFit(capacity/2, 10, 0), q)
-			}
-			// And concatenation left the windows untouched.
-			for i, w := range wins {
-				if err := w.Check(); err != nil {
-					t.Fatalf("seed %d: window %d invariants after concat: %v", seed, i, err)
-				}
-			}
-		}
-
-		// A concatenated handle is a full profile: staging mutations on
-		// it must not write through the shared shard roots.
-		all := ConcatPersistent(wins)
-		before := make([]string, nWin)
-		for i, w := range wins {
-			before[i] = w.String()
-		}
-		if s := all.EarliestFit(1, 5, 0); true {
-			if err := all.Reserve(s, s+5, 1); err != nil {
-				t.Fatalf("seed %d: staging reserve on concat handle: %v", seed, err)
-			}
-		}
-		for i, w := range wins {
-			if w.String() != before[i] {
-				t.Fatalf("seed %d: window %d mutated by staging on concat handle", seed, i)
-			}
-		}
-	}
-}
-
-// TestConcatPersistentContracts pins the panic contracts: empty input
-// and non-abutting windows are programming errors.
-func TestConcatPersistentContracts(t *testing.T) {
-	mustPanic(t, "empty", func() { ConcatPersistent(nil) })
-	a := NewPersistentWindow(8, 0, 100, 0)
-	b := NewPersistentWindow(8, 200, model.Infinity, 1<<32)
-	mustPanic(t, "gap", func() { ConcatPersistent([]*PersistentProfile{a, b}) })
-	c := NewPersistentWindow(4, 100, model.Infinity, 1<<32)
-	mustPanic(t, "capacity", func() { ConcatPersistent([]*PersistentProfile{a, c}) })
-}
-
 // mustPanic fails the test unless fn panics.
 func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -503,45 +408,6 @@ func TestPersistentEditRuns(t *testing.T) {
 	}
 }
 
-// TestConcatPersistentSealsParts: the concatenated handle shares every
-// part's root, not only the first's, so every part's edit must end at
-// the concat — a later mutation of a window may not show through.
-func TestConcatPersistentSealsParts(t *testing.T) {
-	a := NewPersistentWindow(8, 0, 100, 0)
-	b := NewPersistentWindow(8, 100, model.Infinity, 1<<32)
-	for i := model.Time(0); i < 20; i++ {
-		if err := a.Reserve(5*i, 5*i+3, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Reserve(100+5*i, 100+5*i+3, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := ConcatPersistent([]*PersistentProfile{a, b})
-	if all.edit.Load() != 0 {
-		t.Fatalf("ConcatPersistent returned a handle with edit %d open", all.edit.Load())
-	}
-	want := all.String()
-	for i := model.Time(0); i < 20; i++ {
-		if err := a.Reserve(5*i, 5*i+3, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Reserve(100+5*i, 100+5*i+3, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := all.String(); got != want {
-		t.Fatalf("concatenated handle observed a later window mutation:\n  was %s\n  now %s", want, got)
-	}
-	wantA, wantB := a.String(), b.String()
-	if err := all.Reserve(0, 300, 5); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != wantA || b.String() != wantB {
-		t.Fatalf("staging on the concatenated handle reached the windows:\n  %s\n  %s", a, b)
-	}
-}
-
 // TestPersistentNodeLayout pins the two layout facts the backend's
 // speed rests on: a pnode stays in the 64-byte size class (one cache
 // line per descent step; the owner word was paid for by narrowing the
@@ -551,7 +417,7 @@ func TestPersistentNodeLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(pnode{}); sz > 64 {
 		t.Fatalf("pnode is %d bytes, over the 64-byte size class", sz)
 	}
-	mustPanic(t, "window of capacity freeCeil", func() { NewPersistentWindow(freeCeil, 0, model.Infinity, 0) })
+	mustPanic(t, "tree of capacity freeCeil", func() { NewTree(freeCeil, 0) })
 	mustPanic(t, "flat profile of capacity freeCeil", func() { NewPersistentFromProfile(New(freeCeil, 0)) })
 	NewTree(freeCeil-1, 0) // the largest capacity the counts hold
 }

@@ -121,10 +121,10 @@ func BenchmarkTreeMutate(b *testing.B) {
 var fitSink model.Time
 
 // BenchmarkSnapshotArms sweeps the cut AutoTreeThreshold places in the
-// reservation book's SnapshotInto. Both arms start as a snapshot does,
-// with a Clone of the shard's persistent root; below the cut the
-// snapshot materializes that clone into a pooled flat profile, at or
-// above it the clone is the snapshot. Each arm then answers k
+// reservation book's SnapshotInto. Each arm builds a snapshot as the
+// book does: below the cut it materializes the book's persistent root
+// into a pooled flat profile, at or above it a Clone of the root is
+// the snapshot. Each arm then answers k
 // EarliestFit probes, since what a snapshot costs depends on how many
 // probes its copy is paid back over. The horizon grows with n, so the
 // load stays about the same across the sweep. Successive iterations
@@ -156,7 +156,7 @@ func BenchmarkSnapshotArms(b *testing.B) {
 				}
 			}
 		}
-		shard := NewPersistentFromProfile(flat)
+		tree := NewPersistentFromProfile(flat)
 		for _, mix := range []struct {
 			name     string
 			maxProcs int
@@ -164,7 +164,7 @@ func BenchmarkSnapshotArms(b *testing.B) {
 			probes := make([]FitRequest, 50)
 			for i := range probes {
 				p := FitRequest{Procs: 1 + rng.Intn(mix.maxProcs), Dur: model.Duration(rng.Int63n(int64(8*model.Hour)) + 60)}
-				if f, t := flat.EarliestFit(p.Procs, p.Dur, 0), shard.EarliestFit(p.Procs, p.Dur, 0); f != t {
+				if f, t := flat.EarliestFit(p.Procs, p.Dur, 0), tree.EarliestFit(p.Procs, p.Dur, 0); f != t {
 					b.Fatalf("probe %+v: flat %d, tree %d", p, f, t)
 				}
 				probes[i] = p
@@ -177,10 +177,10 @@ func BenchmarkSnapshotArms(b *testing.B) {
 				}{
 					{"flat", func() Intervals {
 						dst.Reset(capacity, 0)
-						shard.Clone().AppendSegmentsTo(dst)
+						tree.AppendSegmentsTo(dst)
 						return dst
 					}},
-					{"persistent", func() Intervals { return shard.Clone() }},
+					{"persistent", func() Intervals { return tree.Clone() }},
 				}
 				for _, arm := range arms {
 					b.Run(fmt.Sprintf("segments=%d/probes=%s/k=%d/arm=%s", n, mix.name, k, arm.name), func(b *testing.B) {

@@ -18,12 +18,17 @@ func TestTransactExhaustionState(t *testing.T) {
 	versionBefore := b.Version()
 	const attempts = 4
 	_, retries, err := b.Transact(context.Background(), attempts, func(snap Snapshot) ([]Request, error) {
-		// Concurrent mutation between snapshot and commit: every
-		// attempt goes stale.
-		if _, err := b.Reserve(100, 110, 1); err != nil {
+		// Concurrent mutation between snapshot and commit, taking the
+		// processors the attempt is computed to use: every attempt
+		// goes stale.
+		fit, err := snap.Avail.EarliestFitChecked(2, 10, 0)
+		if err != nil {
+			t.Fatalf("fit: %v", err)
+		}
+		if _, err := b.Reserve(fit, fit+10, 7); err != nil {
 			t.Fatalf("conflicting Reserve: %v", err)
 		}
-		return []Request{{Start: 0, End: 10, Procs: 2}}, nil
+		return []Request{{Start: fit, End: fit + 10, Procs: 2}}, nil
 	})
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("exhausted Transact: %v, want ErrStale", err)
@@ -37,7 +42,7 @@ func TestTransactExhaustionState(t *testing.T) {
 		t.Errorf("version = %d, want %d", got, want)
 	}
 	for _, r := range b.List() {
-		if r.Start == 0 {
+		if r.Procs != 7 {
 			t.Errorf("stale transaction leaked reservation %+v", r)
 		}
 	}
@@ -103,8 +108,8 @@ func TestReleaseUnknownLeavesBookUntouched(t *testing.T) {
 // reservations were live stays valid and independent after every one
 // of them is released and the book is effectively closed out — the
 // copy-on-read contract the serving layer depends on. Committing
-// against the defunct version must fail stale without corrupting the
-// (now empty) schedule.
+// against the defunct version once the processors it needs are taken
+// again must fail stale without corrupting the schedule.
 func TestSnapshotOutlivesReleasedBook(t *testing.T) {
 	b := New(8, 0)
 	ids := make([]string, 0, 3)
@@ -139,9 +144,16 @@ func TestSnapshotOutlivesReleasedBook(t *testing.T) {
 	}
 
 	// A commit computed against the defunct snapshot fails stale and
-	// books nothing.
+	// books nothing once its processors are gone.
+	if _, err := b.Reserve(0, 5, 8); err != nil {
+		t.Fatalf("Reserve: %v", err)
+	}
+	booked := len(b.List())
 	if _, err := b.Commit(snap, []Request{{Start: 0, End: 5, Procs: 1}}); !errors.Is(err, ErrStale) {
 		t.Fatalf("Commit at stale version: %v, want ErrStale", err)
+	}
+	if got := len(b.List()); got != booked {
+		t.Errorf("stale commit filed %d rows", got-booked)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after stale commit: %v", err)

@@ -1,6 +1,6 @@
 package resbook
 
-// Tests of the per-shard Pending index behind EarliestPendingActivation:
+// Tests of the Pending index behind EarliestPendingActivation:
 // a table of the cases its contract names, a seeded differential
 // against the ledger scan it replaced (kept here as the oracle), the
 // audit CheckInvariants runs on it with a seeded fault, and a -race
@@ -19,36 +19,38 @@ import (
 )
 
 // earliestPendingScan is EarliestPendingActivation as it was before the
-// index: a scan of every ledger row of every shard. It is the
-// differential oracle and reads nothing of the heaps.
+// index: a scan of every ledger row. It is the differential oracle
+// and reads nothing of the heap.
 func earliestPendingScan(b *Book, after model.Time) (at model.Time, ok bool) {
 	at = model.Infinity
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.res {
-			if r.Status != Pending {
-				continue
-			}
-			cand := r.Start
-			if cand < after {
-				cand = after
-			}
-			if cand < at {
-				at = cand
-				ok = true
-			}
+	b.mu.RLock()
+	for _, r := range b.res {
+		if r.Status != Pending {
+			continue
 		}
-		sh.mu.RUnlock()
+		cand := r.Start
+		if cand < after {
+			cand = after
+		}
+		if cand < at {
+			at = cand
+			ok = true
+		}
 	}
+	b.mu.RUnlock()
 	if !ok {
 		return 0, false
 	}
 	return at, true
 }
 
-// bookKinds are the four books the index serves: one shard and eight,
-// persistent and flat (the two backends share the ledger code).
+// bookKinds are the books the index serves, persistent and flat (the
+// two backends share the ledger code). The kinds keep the shard counts
+// of the sharded book these cases were written against. NewSharded now
+// returns one tree whatever the count; the persistent kinds are built
+// through it, as the benchmark module builds its books. The flat
+// oracle has no sharded constructor, so both flat kinds are NewFlat
+// books.
 func bookKinds(t testing.TB, capacity int) map[string]*Book {
 	t.Helper()
 	kinds := map[string]*Book{}
@@ -57,12 +59,8 @@ func bookKinds(t testing.TB, capacity int) map[string]*Book {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := NewShardedFlat(capacity, 0, nshards, model.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
 		kinds[fmt.Sprintf("persistent/shards=%d", nshards)] = pers
-		kinds[fmt.Sprintf("flat/shards=%d", nshards)] = flat
+		kinds[fmt.Sprintf("flat/shards=%d", nshards)] = NewFlat(capacity, 0)
 	}
 	return kinds
 }
@@ -179,7 +177,7 @@ func TestPendingIndexMatchesScan(t *testing.T) {
 	for kind, b := range bookKinds(t, 1<<20) {
 		t.Run(kind, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(24))
-			horizon := model.Time(b.NumShards()) * model.Time(model.Hour) * 2
+			horizon := 16 * model.Time(model.Hour)
 			var live []string // Pending or Active, i.e. still releasable
 			for step := 0; step < ops; step++ {
 				start := model.Time(rng.Int63n(int64(horizon)))
@@ -218,11 +216,9 @@ func TestPendingIndexMatchesScan(t *testing.T) {
 			}
 			auditPending(t, b, ops)
 			stale := 0
-			for i := range b.shards {
-				for _, r := range b.shards[i].pending {
-					if r.Status != Pending {
-						stale++
-					}
+			for _, r := range b.pending {
+				if r.Status != Pending {
+					stale++
 				}
 			}
 			if stale == 0 {
@@ -236,26 +232,22 @@ func TestPendingIndexMatchesScan(t *testing.T) {
 // the whole ledger, too slow to repeat through a 10k-op run.
 func auditPending(t *testing.T, b *Book, step int) {
 	t.Helper()
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		err := sh.checkPendingLocked()
-		sh.mu.Unlock()
-		if err != nil {
-			t.Fatalf("step %d: shard %d: %v", step, i, err)
-		}
+	b.mu.Lock()
+	err := b.checkPendingLocked()
+	b.mu.Unlock()
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
 	}
 }
 
 // TestPendingIndexSeededFaults breaks the index the ways its writers
 // could — Activate forgetting to pop, a row never pushed, an entry
-// filed in the wrong shard, heap order lost — and requires both safety
+// filed in the wrong book, heap order lost — and requires both safety
 // nets to notice: CheckInvariants names the fault, and (where the
 // answer changes) the index stops agreeing with the scan.
 func TestPendingIndexSeededFaults(t *testing.T) {
 	build := func(t *testing.T) (*Book, []Reservation) {
-		b, err := NewSharded(8, 0, 2, model.Hour)
-		mustNil(t, err)
+		b := New(8, 0)
 		var rows []Reservation
 		for _, start := range []model.Time{100, 200, 300, model.Time(model.Hour) + 50} {
 			r, err := b.Reserve(start, start+10, 1)
@@ -272,35 +264,39 @@ func TestPendingIndexSeededFaults(t *testing.T) {
 		diverges bool
 	}{
 		{"activate skips the pop", func(b *Book, rows []Reservation) {
-			sh := &b.shards[0]
-			sh.mu.Lock()
-			sh.res[rows[0].ID].Status = Active
-			sh.stamp++
-			sh.mu.Unlock()
+			b.mu.Lock()
+			b.res[rows[0].ID].Status = Active
+			b.version.Add(1)
+			b.mu.Unlock()
 		}, "top r000001 is active", true},
 		{"row filed without a push", func(b *Book, rows []Reservation) {
-			sh := &b.shards[0]
-			sh.mu.Lock()
-			sh.pending = sh.pending[1:] // drops the top, start 100
-			sh.mu.Unlock()
+			b.mu.Lock()
+			b.pending = b.pending[1:] // drops the top, start 100
+			b.mu.Unlock()
 		}, "is missing", true},
-		{"entry of another shard", func(b *Book, rows []Reservation) {
-			b.lockShards(0, 1)
-			b.shards[0].pushPendingLocked(b.shards[1].res[rows[3].ID])
-			b.unlockShards(0, 1)
-		}, "not a row of this shard", false},
+		{"entry of another book", func(b *Book, rows []Reservation) {
+			other := New(8, 0)
+			r, err := other.Reserve(rows[3].Start, rows[3].End, 1)
+			if err != nil {
+				panic(err)
+			}
+			other.mu.RLock()
+			row := other.res[r.ID]
+			other.mu.RUnlock()
+			b.mu.Lock()
+			b.pushPendingLocked(row)
+			b.mu.Unlock()
+		}, "not a ledger row", false},
 		{"row indexed twice", func(b *Book, rows []Reservation) {
-			sh := &b.shards[0]
-			sh.mu.Lock()
-			sh.pushPendingLocked(sh.res[rows[2].ID])
-			sh.mu.Unlock()
+			b.mu.Lock()
+			b.pushPendingLocked(b.res[rows[2].ID])
+			b.mu.Unlock()
 		}, "indexed twice", false},
 		{"heap order lost", func(b *Book, rows []Reservation) {
-			sh := &b.shards[0]
-			sh.mu.Lock()
-			h := sh.pending
+			b.mu.Lock()
+			h := b.pending
 			h[0], h[len(h)-1] = h[len(h)-1], h[0]
-			sh.mu.Unlock()
+			b.mu.Unlock()
 		}, "sits above", true},
 	}
 	for _, tc := range cases {
@@ -329,7 +325,7 @@ func TestEarliestPendingActivationRace(t *testing.T) {
 	for kind, b := range bookKinds(t, 1<<20) {
 		t.Run(kind, func(t *testing.T) {
 			const writers, readers, opsPerWriter = 4, 3, 300
-			horizon := int64(b.NumShards()) * int64(model.Hour)
+			horizon := 8 * int64(model.Hour)
 			stop := make(chan struct{})
 			var rwg, wwg sync.WaitGroup
 			for r := 0; r < readers; r++ {

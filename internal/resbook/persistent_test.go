@@ -25,22 +25,16 @@ func TestPersistentBookMatchesFlatOracle(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 7919))
-			nshards := 1 + rng.Intn(8)
+			// The horizon spans 2 to 16 hours, drawn per seed.
+			hours := 2 * (1 + rng.Intn(8))
 			epoch := model.Duration(model.Hour)
-			pers, err := NewSharded(capacity, 0, nshards, epoch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, err := NewShardedFlat(capacity, 0, nshards, epoch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pers.Persistent() || flat.Persistent() {
+			pers, flat := New(capacity, 0), NewFlat(capacity, 0)
+			if pers.pprof == nil || flat.prof == nil {
 				t.Fatal("backend selection broken")
 			}
 
 			var live []string
-			horizon := int64(nshards) * int64(epoch) * 2
+			horizon := int64(hours) * int64(epoch)
 			for step := 0; step < 250; step++ {
 				start := model.Time(rng.Int63n(horizon))
 				end := start + 1 + model.Duration(rng.Int63n(int64(epoch)))
@@ -63,7 +57,7 @@ func TestPersistentBookMatchesFlatOracle(t *testing.T) {
 						t.Fatalf("step %d: IDs diverged: %s vs %s", step, rp.ID, rf.ID)
 					}
 					live = append(live, rp.ID)
-				case op == 3: // Commit through Transact (validates stamps too)
+				case op == 3: // Commit through Transact (its capacity check too)
 					req := Request{Start: start, End: end, Procs: procs}
 					outP, _, errP := pers.Transact(context.Background(), 1, func(Snapshot) ([]Request, error) {
 						return []Request{req}, nil
@@ -138,14 +132,13 @@ func TestPersistentBookMatchesFlatOracle(t *testing.T) {
 // the tentpole property: a snapshot handle taken before a storm of
 // concurrent commits and releases keeps rendering — and answering
 // queries on — exactly the schedule it was taken at. Writers path-copy
-// fresh shard roots; the frozen roots the snapshot pinned are never
-// written.
+// fresh roots; the frozen root the snapshot pinned is never written.
 func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 	t.Run("frozen-handle", func(t *testing.T) { snapshotIsolationStorm(t, 0) })
 	// The second variant adds goroutines that all snapshot while the
-	// writers burst, and confines the writers to shard 0: its handle's
-	// edit is open most of the time, and Clone retires it — a store —
-	// under the shard's RLock from several goroutines at once. -race
+	// writers burst, and confines the writers to the first hour: the
+	// tree's edit is open most of the time, and Clone retires it — a
+	// store — under the book's RLock from several goroutines at once. -race
 	// checks that store; the renders check that no burst reaches a
 	// snapshot taken in the middle of one.
 	t.Run("concurrent-snapshotters", func(t *testing.T) { snapshotIsolationStorm(t, 4) })
@@ -153,23 +146,20 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 
 // snapshotIsolationStorm is TestSnapshotIsolationUnderConcurrentCommits'
 // body. With snapshotters > 0 that many goroutines snapshot the book
-// concurrently, and each writer works in shard 0 only, following its
+// concurrently, and each writer works in the first hour only, following its
 // Transact with a burst of Reserve/Release calls that take no snapshot.
 func snapshotIsolationStorm(t *testing.T, snapshotters int) {
 	const (
 		capacity = 64
-		nshards  = 8
+		hours    = 8
 		writers  = 4
 		readers  = 4
 	)
 	iters := 150
 	if snapshotters > 0 {
-		iters = 50 // every writer in one shard: most commits retry
+		iters = 50 // every writer in one hour
 	}
-	book, err := NewSharded(capacity, 0, nshards, model.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	book := New(capacity, 0)
 	// Enough booked reservations that the snapshot is a tree handle,
 	// not a small-R flat materialization.
 	for i := 0; i < 400; i++ {
@@ -195,11 +185,11 @@ func snapshotIsolationStorm(t *testing.T, snapshotters int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < iters; i++ {
-				// Mostly shard-local windows, with occasional spans to
-				// exercise multi-shard commits.
+				// Mostly a writer's own hour, with occasional windows
+				// anywhere in the horizon.
 				base := int64(w) * int64(model.Hour)
 				if rng.Intn(5) == 0 {
-					base = rng.Int63n(int64(nshards-1) * int64(model.Hour))
+					base = rng.Int63n(int64(hours-1) * int64(model.Hour))
 				}
 				if snapshotters > 0 {
 					base = 0
@@ -208,7 +198,7 @@ func snapshotIsolationStorm(t *testing.T, snapshotters int) {
 				end := start + 1 + model.Duration(rng.Int63n(int64(model.Hour)))
 				out, _, err := book.Transact(context.Background(), 100, func(s Snapshot) ([]Request, error) {
 					if s.Avail.MinFree(start, end) < 1 {
-						return nil, nil // full here; just validate the fence
+						return nil, nil // full here; commit nothing
 					}
 					return []Request{{Start: start, End: end, Procs: 1}}, nil
 				})
@@ -293,10 +283,7 @@ func snapshotIsolationStorm(t *testing.T, snapshotters int) {
 // the batch path does) never leaks into the live book or into other
 // snapshots.
 func TestSnapshotHandleStagingIsPrivate(t *testing.T) {
-	book, err := NewSharded(32, 0, 4, model.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	book := New(32, 0)
 	for i := 0; i < 300; i++ {
 		start := model.Time(i) * 29
 		if _, err := book.Reserve(start, start+120, 1); err != nil {
@@ -325,39 +312,25 @@ func TestSnapshotHandleStagingIsPrivate(t *testing.T) {
 	}
 }
 
-// stampsOnly returns a Snapshot that passes Commit's stamp validation
-// without having cloned any shard's profile — so, unlike Snapshot, it
-// leaves the shards' open edits open. Only Epochs and Version are set.
-func stampsOnly(b *Book) Snapshot {
-	snap := Snapshot{Version: b.Version(), Epochs: make([]uint64, len(b.shards))}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		snap.Epochs[i] = sh.stamp
-		sh.mu.RUnlock()
-	}
-	return snap
+// versionOnly returns a Snapshot at the book's current version without
+// having cloned its profile — so, unlike Snapshot, it leaves the tree's
+// open edit open. Only Version is set.
+func versionOnly(b *Book) Snapshot {
+	return Snapshot{Version: b.Version()}
 }
 
 // TestSnapshotSurvivesEditRun: a snapshot taken before K Reserve,
 // Commit and Release calls, with no snapshot in between to end the
-// shards' edits, renders unchanged after every one of them — the
+// tree's edit, renders unchanged after every one of them — the
 // writes in place go only to nodes created after the snapshot pinned
-// its roots — and the book stays equal to a flat-backend book given
+// its root — and the book stays equal to a flat-backend book given
 // the same calls.
 func TestSnapshotSurvivesEditRun(t *testing.T) {
 	const capacity = 32
 	for _, k := range []int{1, 2, 8, 50} {
 		k := k
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			pers, err := NewSharded(capacity, 0, 4, model.Hour)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, err := NewShardedFlat(capacity, 0, 4, model.Hour)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pers, flat := New(capacity, 0), NewFlat(capacity, 0)
 			for i := 0; i < 300; i++ {
 				start := model.Time(i) * 41
 				for _, b := range []*Book{pers, flat} {
@@ -389,8 +362,8 @@ func TestSnapshotSurvivesEditRun(t *testing.T) {
 					}
 				case op == 1:
 					reqs := []Request{{Start: start, End: end, Procs: 1}, {Start: end, End: end + 100, Procs: 2}}
-					outP, errP := pers.Commit(stampsOnly(pers), reqs)
-					_, errF := flat.Commit(stampsOnly(flat), reqs)
+					outP, errP := pers.Commit(versionOnly(pers), reqs)
+					_, errF := flat.Commit(versionOnly(flat), reqs)
 					if (errP == nil) != (errF == nil) {
 						t.Fatalf("call %d: Commit persistent err=%v, flat err=%v", i, errP, errF)
 					}
@@ -419,35 +392,33 @@ func TestSnapshotSurvivesEditRun(t *testing.T) {
 	}
 }
 
-// TestFailedCommitInsideLiveEditLeavesNoTrace: a multi-shard commit
-// that fails part-way is rolled back by Unreserve calls that, inside a
-// live edit, write the very nodes the failed Reserves wrote. Segments,
-// ledger and version must equal those of a book that never tried — at
-// once, and after further calls inside the same edits.
+// TestFailedCommitInsideLiveEditLeavesNoTrace: a commit that fails
+// part-way is rolled back by Unreserve calls that, inside a live edit,
+// write the very nodes the failed Reserves wrote. Segments, ledger and
+// version must equal those of a book that never tried — at once, and
+// after further calls inside the same edit.
 func TestFailedCommitInsideLiveEditLeavesNoTrace(t *testing.T) {
 	const capacity = 16
 	build := func() *Book {
-		b, err := NewSharded(capacity, 0, 4, model.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := New(capacity, 0)
 		for i := 0; i < 200; i++ {
 			start := model.Time(i) * 53
 			if _, err := b.Reserve(start, start+90, 1+i%3); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Fill a slot of shard 2 so that anything else there fails.
+		// Fill a slot in the third hour so that anything else there fails.
 		if _, err := b.Reserve(2*model.Hour+1000, 2*model.Hour+1100, b.Snapshot().Avail.MinFree(2*model.Hour+1000, 2*model.Hour+1100)); err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	// touch opens (or carries on) an edit on every shard of both books.
+	// touch opens (or carries on) the edit of both books, with one
+	// reservation in each of the first four hours.
 	touch := func(at model.Time, books ...*Book) {
 		for _, b := range books {
-			for sh := model.Time(0); sh < 4; sh++ {
-				if _, err := b.Reserve(sh*model.Hour+at, sh*model.Hour+at+10, 1); err != nil {
+			for h := model.Time(0); h < 4; h++ {
+				if _, err := b.Reserve(h*model.Hour+at, h*model.Hour+at+10, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -455,17 +426,17 @@ func TestFailedCommitInsideLiveEditLeavesNoTrace(t *testing.T) {
 	}
 	tried, control := build(), build()
 	touch(10, tried, control)
-	before := tried.Snapshot() // the last Clone of tried's shards until the final comparison
+	before := tried.Snapshot() // the last Clone of tried's tree until the final comparison
 	frozen := before.Avail.String()
 	touch(30, tried, control)
 
 	version := tried.Version()
 	failing := [][]Request{
-		{ // the second request fails: the first, over shards 0-2, is rolled back by Commit
+		{ // the second request fails: the first, over hours 0-2, is rolled back by Commit
 			{Start: 100, End: 2*model.Hour + 900, Procs: 2},
 			{Start: 2*model.Hour + 1050, End: 2*model.Hour + 1060, Procs: 1},
 		},
-		{ // one request failing in its third shard: applyLocked undoes shards 0 and 1
+		{ // one request failing in its third hour: nothing is applied
 			{Start: model.Hour - 5, End: 2*model.Hour + 1050, Procs: 1},
 		},
 		{ // a good request behind it changes nothing
@@ -474,7 +445,7 @@ func TestFailedCommitInsideLiveEditLeavesNoTrace(t *testing.T) {
 		},
 	}
 	for i, reqs := range failing {
-		if _, err := tried.Commit(stampsOnly(tried), reqs); err == nil || errors.Is(err, ErrStale) {
+		if _, err := tried.Commit(versionOnly(tried), reqs); err == nil || errors.Is(err, ErrStale) {
 			t.Fatalf("commit %d: err=%v, want a capacity failure", i, err)
 		}
 	}

@@ -4,31 +4,29 @@
 // (the paper's §2 RESSCHED setting, where a batch scheduler owns the
 // reservation schedule and applications book against it).
 //
-// Concurrency model. The book is split into time-epoch shards, each
-// guarding its window of the schedule with its own RWMutex and a
-// monotonically increasing mutation stamp. Each shard holds its window
-// of the step function as a persistent copy-on-write tree (the flat
-// deep-copy backend survives as the differential oracle, NewShardedFlat),
-// so a snapshot grabs one immutable root pointer + stamp per shard
-// under RLock — O(#shards), independent of how many reservations are
-// booked — and commits copy only those of the O(log n) nodes their
-// mutations touch that a snapshot may still hold: taking the snapshot
-// ends the shard handle's edit, and the writes up to the next one
-// share an edit and update the nodes it created in place. Outstanding
-// snapshot roots stay frozen for the GC to reclaim. A scheduler takes
-// a snapshot — the concatenated availability handle plus the per-shard
-// stamps it was read at — computes a schedule against it without
-// holding any lock (list scheduling is the expensive part), and then
-// commits the resulting reservations: the commit locks only the shards the
-// reservations touch, in ascending index order, and revalidates their
-// stamps. If any of those shards moved in between, the commit fails
-// with ErrStale and the caller recomputes against a fresh snapshot —
-// an optimistic-concurrency loop packaged as Transact. Commits landing
-// in disjoint epochs lock disjoint shards and proceed in parallel.
+// Concurrency model. The book is one schedule under one RWMutex. It
+// holds the step function as a persistent copy-on-write tree (the flat
+// deep-copy backend survives as the differential oracle, NewFlat), so
+// a snapshot pins the tree's root under RLock in O(1), independent of
+// how many reservations are booked, and commits copy only those of the
+// O(log n) nodes their mutations touch that a snapshot may still hold:
+// taking the snapshot ends the tree's edit, and the writes up to the
+// next one share an edit and update the nodes it created in place.
+// Outstanding snapshot roots stay frozen for the GC to reclaim.
 //
-// New returns a single-shard book, which behaves exactly like a book
-// with one global lock and version; NewSharded opts into partitioned
-// serving for heavy concurrent traffic.
+// A scheduler takes a snapshot, computes a schedule against it without
+// holding any lock (list scheduling is the expensive part), and then
+// commits the resulting reservations. The commit is validated by
+// capacity, not by version: under the write lock it reserves each
+// request in the current tree, whose Reserve checks the processors are
+// free. A schedule whose pieces all fit at that point is a valid
+// schedule — its start times, and so its precedence and deadline, are
+// fixed in the requests; only free capacity could have moved. When a
+// piece no longer fits, the commit undoes the pieces it applied and
+// fails with ErrStale, and the caller recomputes against a fresh
+// snapshot — an optimistic-concurrency loop packaged as Transact.
+// Commits that do not compete for the same processors never conflict,
+// however their windows overlap.
 //
 // Lifecycle. Reservations move Pending → Active → Released. A commit
 // books Pending reservations (capacity held, job not yet confirmed);
@@ -83,8 +81,9 @@ func (s Status) MarshalJSON() ([]byte, error) {
 }
 
 // Errors returned by the book. ErrStale is the optimistic-concurrency
-// signal: the snapshot a commit was computed against is no longer
-// current, and the caller should retry against a fresh one.
+// signal: the book moved since the snapshot a commit was computed
+// against, and the commit no longer fits it; the caller should retry
+// against a fresh snapshot.
 var (
 	ErrStale    = errors.New("resbook: snapshot is stale")
 	ErrNotFound = errors.New("resbook: no such reservation")
@@ -114,12 +113,11 @@ type Reservation struct {
 // Snapshot is a consistent view of the book's schedule. Avail is the
 // caller's to mutate (schedulers reserve task slots in it while
 // searching): on the default persistent backend it is a lightweight
-// copy-on-write handle sharing the shards' frozen roots — taking it
-// cost O(#shards), and mutations path-copy without ever writing a
-// shared node — while on the flat oracle backend it is a deep copy.
-// Committing requires the stamps of every shard the commit touches to
-// still match Epochs. Version is the global mutation counter the
-// snapshot was taken at, reported in the API and in ErrStale messages.
+// copy-on-write handle sharing the book's frozen root — taking it cost
+// O(1), and mutations path-copy without ever writing a shared node —
+// while on the flat oracle backend it is a deep copy. Version is the
+// mutation counter the snapshot was taken at, reported in the API and
+// in ErrStale messages.
 //
 // A snapshot taken with SnapshotInto may have Avail alias the caller's
 // dst, so it lives only as long as the caller leaves dst alone; the one
@@ -127,50 +125,55 @@ type Reservation struct {
 // callback returns.
 type Snapshot struct {
 	Version uint64
-	Epochs  []uint64
 	Avail   profile.Intervals
 }
 
-// bookShard is one time-epoch partition of the schedule: the window
-// [start, end) of the global horizon, with a profile holding the
-// clipped pieces of the reservations that overlap the window and the
-// ledger rows of the reservations that start in it. Exactly one of
-// pprof (persistent backend, the default) and prof (flat oracle
-// backend) is non-nil, fixed at construction. stamp counts the
-// mutations that touched the shard; pprof, prof, res, pending and stamp
-// are guarded by mu — for pprof that guards the root-pointer swap a
-// mutation publishes and the writes in place of its open edit; the
-// nodes behind a root a Snapshot has cloned are immutable (Clone, under
-// RLock, ends the edit) and safe to read lock-free through the handle.
-type bookShard struct {
-	start model.Time
-	end   model.Time
+// Book is a concurrent, versioned reservation book. The zero value is
+// not usable; construct with New, NewFlat, or FromReservations.
+//
+// Exactly one of pprof (persistent backend, the default) and prof
+// (flat oracle backend) is non-nil, fixed at construction. For pprof,
+// mu guards the root-pointer swap a mutation publishes and the writes
+// in place of its open edit; the nodes behind a root a Snapshot has
+// cloned are immutable (Clone, under RLock, ends the edit) and safe to
+// read lock-free through the handle.
+type Book struct {
+	capacity int
+	origin   model.Time
 
 	mu    sync.RWMutex
-	stamp uint64                     //reschedvet:guardedby mu
 	pprof *profile.PersistentProfile //reschedvet:guardedby mu
 	prof  *profile.Profile           //reschedvet:guardedby mu
 	res   map[string]*Reservation    //reschedvet:guardedby mu
 
-	// pending indexes the shard's Pending rows: a binary min-heap of
-	// ledger rows keyed by Start, so the backfill guardrail's "earliest
-	// Pending activation" is the top instead of a scan of res. Deletion
-	// is lazy. A row is pushed when it is filed and popped only once it
-	// is at the top and no longer Pending, which Activate and Release —
-	// the two writers that flip a status — see to before they unlock.
-	// Hence the invariant readers rely on (and CheckInvariants audits):
-	// the top is Pending or the heap is empty. Rows that left Pending
-	// deeper down wait their turn; each costs its pointer until then,
-	// and each row is pushed and popped at most once.
+	// pending indexes the Pending rows: a binary min-heap of ledger rows
+	// keyed by Start, so the backfill guardrail's "earliest Pending
+	// activation" is the top instead of a scan of res. Deletion is lazy.
+	// A row is pushed when it is filed and popped only once it is at the
+	// top and no longer Pending, which Activate and Release — the two
+	// writers that flip a status — see to before they unlock. Hence the
+	// invariant readers rely on (and CheckInvariants audits): the top is
+	// Pending or the heap is empty. Rows that left Pending deeper down
+	// wait their turn; each costs its pointer until then, and each row is
+	// pushed and popped at most once.
 	pending []*Reservation //reschedvet:guardedby mu
+
+	version atomic.Uint64
+	nextID  uint64 //reschedvet:guardedby mu
+
+	// scratch recycles the flat profiles Transact snapshots into, one
+	// per call in flight, so an attempt against a small schedule
+	// (SnapshotInto's flat arm) reuses backing arrays instead of
+	// growing fresh ones.
+	scratch sync.Pool
 }
 
-// pushPendingLocked adds a freshly filed Pending row to the shard's
-// index; the shard's lock must be held.
+// pushPendingLocked adds a freshly filed Pending row to the index; the
+// book's lock must be held.
 //
 //reschedvet:holds mu
-func (sh *bookShard) pushPendingLocked(r *Reservation) {
-	h := append(sh.pending, r)
+func (b *Book) pushPendingLocked(r *Reservation) {
+	h := append(b.pending, r)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -181,16 +184,16 @@ func (sh *bookShard) pushPendingLocked(r *Reservation) {
 		i = parent
 	}
 	h[i] = r
-	sh.pending = h
+	b.pending = h
 }
 
-// settlePendingLocked restores the index invariant after a row of the
-// shard left Pending: it pops tops until one is Pending again. The
-// shard's lock must be held.
+// settlePendingLocked restores the index invariant after a row left
+// Pending: it pops tops until one is Pending again. The book's lock
+// must be held.
 //
 //reschedvet:holds mu
-func (sh *bookShard) settlePendingLocked() {
-	h := sh.pending
+func (b *Book) settlePendingLocked() {
+	h := b.pending
 	for len(h) > 0 && h[0].Status != Pending {
 		n := len(h) - 1
 		last := h[n]
@@ -217,92 +220,45 @@ func (sh *bookShard) settlePendingLocked() {
 		}
 		h[i] = last
 	}
-	sh.pending = h
+	b.pending = h
 }
 
-// Book is a concurrent, versioned reservation book. The zero value is
-// not usable; construct with New, NewSharded, or FromReservations.
-type Book struct {
-	capacity   int
-	origin     model.Time
-	epoch      model.Duration
-	persistent bool
-	shards     []bookShard
-
-	version atomic.Uint64
-	nextID  atomic.Uint64
-
-	// scratch recycles the flat profiles Transact snapshots into, one
-	// per call in flight, so an attempt against a small schedule
-	// (SnapshotInto's flat arm) reuses backing arrays instead of
-	// growing fresh ones.
-	scratch sync.Pool
-}
-
-// New returns an empty single-shard book for a cluster of the given
-// capacity whose schedule starts at origin. A single-shard book
-// serializes all mutations, and its per-shard stamp coincides with the
-// global version — the exact semantics of the pre-sharding book.
+// New returns an empty book for a cluster of the given capacity whose
+// schedule starts at origin.
 func New(capacity int, origin model.Time) *Book {
-	b, err := NewSharded(capacity, origin, 1, 0)
-	if err != nil {
-		panic(err) // one shard with no epoch is always valid
-	}
+	b := newBook(capacity, origin)
+	b.pprof = profile.NewTree(capacity, origin)
 	return b
 }
 
-// NewSharded returns an empty book partitioned into nshards time
-// epochs of the given length: shard i owns [origin + i·epoch,
-// origin + (i+1)·epoch), and the last shard extends to the horizon.
-// Commits into disjoint epochs lock disjoint shards and run in
-// parallel; reservations spanning epochs lock the covered shards in
-// ascending order. The shards hold persistent copy-on-write profile
-// roots, so Snapshot is O(nshards) regardless of reservation count.
+// NewFlat is New on the flat deep-copy profile backend: every Snapshot
+// copies the step function. It is the differential oracle the
+// persistent backend is tested against.
+func NewFlat(capacity int, origin model.Time) *Book {
+	b := newBook(capacity, origin)
+	b.prof = profile.New(capacity, origin)
+	return b
+}
+
+// NewSharded checks that nshards is at least 1 and that epoch is
+// positive when nshards > 1, then returns New(capacity, origin): the
+// book is one tree whatever the shard count. It stays only because the
+// benchmark module (bench/serve.go, bench/replay.go) calls it; ROADMAP
+// item 1(c) routes those calls through one helper and deletes it.
 func NewSharded(capacity int, origin model.Time, nshards int, epoch model.Duration) (*Book, error) {
-	return newSharded(capacity, origin, nshards, epoch, true)
-}
-
-// NewShardedFlat is NewSharded on the flat deep-copy profile backend:
-// every Snapshot clones the assembled step function. It is the
-// differential oracle the persistent backend is tested against, and a
-// fallback for workloads where flat copies measure faster.
-func NewShardedFlat(capacity int, origin model.Time, nshards int, epoch model.Duration) (*Book, error) {
-	return newSharded(capacity, origin, nshards, epoch, false)
-}
-
-func newSharded(capacity int, origin model.Time, nshards int, epoch model.Duration, persistent bool) (*Book, error) {
 	if nshards < 1 {
 		return nil, fmt.Errorf("resbook: shard count %d < 1", nshards)
 	}
 	if nshards > 1 && epoch <= 0 {
 		return nil, fmt.Errorf("resbook: epoch %d must be positive with %d shards", epoch, nshards)
 	}
-	b := &Book{
-		capacity:   capacity,
-		origin:     origin,
-		epoch:      epoch,
-		persistent: persistent,
-		shards:     make([]bookShard, nshards),
-	}
+	return New(capacity, origin), nil
+}
+
+func newBook(capacity int, origin model.Time) *Book {
+	b := &Book{capacity: capacity, origin: origin, res: make(map[string]*Reservation)}
 	b.scratch.New = func() any { return &profile.Profile{} }
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.start = origin + model.Time(i)*model.Time(epoch)
-		sh.end = origin + model.Time(i+1)*model.Time(epoch)
-		if i == len(b.shards)-1 {
-			sh.end = model.Infinity
-		}
-		if persistent {
-			// Distinct seed bases keep sibling windows on disjoint
-			// priority streams so the concatenated snapshot treap stays
-			// balanced.
-			sh.pprof = profile.NewPersistentWindow(capacity, sh.start, sh.end, uint64(i)<<32)
-		} else {
-			sh.prof = profile.New(capacity, origin)
-		}
-		sh.res = make(map[string]*Reservation)
-	}
-	return b, nil
+	return b
 }
 
 // FromReservations returns a book pre-loaded with the given competing
@@ -320,7 +276,7 @@ func FromReservations(capacity int, origin model.Time, rs []profile.Reservation)
 
 // Seed commits the given competing reservations as Active, clipping
 // to the horizon as FromReservations does. It lets callers seed a
-// book they constructed themselves — in particular a sharded one.
+// book they constructed themselves.
 func (b *Book) Seed(rs []profile.Reservation) error {
 	for i, r := range rs {
 		start, end := r.Start, r.End
@@ -347,67 +303,16 @@ func (b *Book) Capacity() int { return b.capacity }
 // Origin returns the start of the book's horizon.
 func (b *Book) Origin() model.Time { return b.origin }
 
-// NumShards returns the number of time-epoch shards.
-func (b *Book) NumShards() int { return len(b.shards) }
-
-// Persistent reports whether the book is on the copy-on-write
-// persistent profile backend (the default) rather than the flat
-// deep-copy oracle.
-func (b *Book) Persistent() bool { return b.persistent }
-
 // Version returns the current schedule version. It increases by one
 // on every successful mutation.
 func (b *Book) Version() uint64 { return b.version.Load() }
 
-// shardFor returns the index of the shard owning time t.
-func (b *Book) shardFor(t model.Time) int {
-	if len(b.shards) == 1 {
-		return 0
-	}
-	if t <= b.origin {
-		return 0
-	}
-	i := int((t - b.origin) / model.Time(b.epoch))
-	if i >= len(b.shards) {
-		i = len(b.shards) - 1
-	}
-	return i
-}
-
-// shardSpan returns the inclusive shard index range a reservation
-// window touches.
-func (b *Book) shardSpan(start, end model.Time) (int, int) {
-	return b.shardFor(start), b.shardFor(end - 1)
-}
-
-// lockShards write-locks shards[lo..hi]. Acquisition is strictly in
-// ascending index order — the book's global lock order, which every
-// multi-shard path follows, so overlapping spans cannot deadlock.
-//
-//reschedvet:lockorder
-//reschedvet:acquires bookShard.mu
-func (b *Book) lockShards(lo, hi int) {
-	for i := lo; i <= hi; i++ {
-		b.shards[i].mu.Lock()
-	}
-}
-
-// unlockShards releases what lockShards acquired.
-//
-//reschedvet:lockorder
-//reschedvet:releases bookShard.mu
-func (b *Book) unlockShards(lo, hi int) {
-	for i := hi; i >= lo; i-- {
-		b.shards[i].mu.Unlock()
-	}
-}
-
 // Snapshot returns a consistent view of the current schedule with the
-// stamps it was read at. The view is independent: the caller may
+// version it was read at. The view is independent: the caller may
 // mutate it freely (and scheduling algorithms do). On the persistent
-// backend taking it is O(#shards) — one root pointer + stamp per shard
-// under RLock — and the frozen roots keep answering queries unchanged
-// while later commits path-copy new roots beside them.
+// backend taking it is O(1) — one root pointer under RLock — and the
+// frozen root keeps answering queries unchanged while later commits
+// path-copy new roots beside it.
 func (b *Book) Snapshot() Snapshot {
 	return b.SnapshotInto(&profile.Profile{})
 }
@@ -420,81 +325,35 @@ func (b *Book) Snapshot() Snapshot {
 // arrays. On the persistent backend dst is used only when the schedule
 // is small (fewer than profile.AutoTreeThreshold segments, where one
 // O(n) copy buys flat probes cheaper than tree descents; DESIGN §17
-// has the sweep): the segments are materialized into dst and Avail is
-// dst. Larger schedules skip
-// dst entirely — Avail is a copy-on-write handle over the shard roots
-// and the snapshot allocates O(#shards) regardless of R.
-//
-// Shards are read one at a time in ascending order, so a multi-shard
-// snapshot is not a point-in-time cut of the whole horizon; it does
-// not need to be, because Commit revalidates the stamp of every shard
-// it writes. A commit computed on a torn snapshot either touches only
-// shards whose windows were read consistently (and proceeds safely)
-// or fails with ErrStale.
+// has the sweep): the segments are materialized into dst straight from
+// the root and Avail is dst. Larger schedules skip dst entirely —
+// Avail is a copy-on-write handle pinning the root.
 func (b *Book) SnapshotInto(dst *profile.Profile) Snapshot {
-	snap := Snapshot{Epochs: make([]uint64, len(b.shards))}
-	if !b.persistent {
-		snap.Avail = dst
-		if len(b.shards) == 1 {
-			sh := &b.shards[0]
-			sh.mu.RLock()
-			snap.Version = b.version.Load()
-			snap.Epochs[0] = sh.stamp
-			sh.prof.CloneInto(dst)
-			sh.mu.RUnlock()
-			return snap
-		}
-		dst.Reset(b.capacity, b.origin)
-		for i := range b.shards {
-			sh := &b.shards[i]
-			sh.mu.RLock()
-			if i == 0 {
-				snap.Version = b.version.Load()
-			}
-			snap.Epochs[i] = sh.stamp
-			dst.AppendWindow(sh.prof, sh.start, sh.end)
-			sh.mu.RUnlock()
-		}
-		return snap
-	}
-	parts := make([]*profile.PersistentProfile, len(b.shards))
-	total := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		if i == 0 {
-			snap.Version = b.version.Load()
-		}
-		snap.Epochs[i] = sh.stamp
-		// Clone ends the shard's open edit — one atomic word, the only
-		// thing a snapshot writes — so no later commit writes a node
-		// this snapshot pins.
-		parts[i] = sh.pprof.Clone()
-		sh.mu.RUnlock()
-		total += parts[i].NumSegments()
-	}
-	if total < profile.AutoTreeThreshold {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	snap := Snapshot{Version: b.version.Load(), Avail: dst}
+	switch {
+	case b.prof != nil:
+		b.prof.CloneInto(dst)
+	case b.pprof.NumSegments() < profile.AutoTreeThreshold:
 		// Small R: materialize the handful of segments into the pooled
-		// flat profile, whose scans beat tree descents at this size.
+		// flat profile, whose scans beat tree descents at this size. A
+		// flat copy pins no node, so the tree's edit stays open.
 		dst.Reset(b.capacity, b.origin)
-		for _, p := range parts {
-			p.AppendSegmentsTo(dst)
-		}
-		snap.Avail = dst
-		return snap
+		b.pprof.AppendSegmentsTo(dst)
+	default:
+		// Clone ends the tree's open edit — one atomic word, the only
+		// thing a snapshot writes — so no later commit writes a node this
+		// snapshot pins.
+		snap.Avail = b.pprof.Clone()
 	}
-	if len(parts) == 1 {
-		snap.Avail = parts[0]
-		return snap
-	}
-	snap.Avail = profile.ConcatPersistent(parts)
 	return snap
 }
 
 // reserveChecks validates a reservation request against the book's
-// horizon before any shard is locked, with the same messages the
+// horizon before the lock is taken, with the same messages the
 // profile's own checks produce. Capacity conflicts are detected later,
-// inside the clipped per-shard reserves.
+// by the profile's Reserve under the lock.
 func (b *Book) reserveChecks(start, end model.Time, procs int) error {
 	if procs < 1 || procs > b.capacity {
 		return fmt.Errorf("cannot reserve %d processors on a %d-processor cluster", procs, b.capacity)
@@ -511,84 +370,35 @@ func (b *Book) reserveChecks(start, end model.Time, procs int) error {
 	return nil
 }
 
-// shardReserveLocked books a clipped piece into shard i on whichever
-// profile backend the book runs; the shard's lock must be held. On the
-// persistent backend the mutation writes O(log n) nodes — copies of
-// those a snapshot handle may share, which stay untouched — and swaps
-// the shard's root.
+// reserveLocked books req on whichever profile backend the book runs;
+// the book's lock must be held. The profile's Reserve checks the
+// capacity. On the persistent backend the mutation writes O(log n)
+// nodes — copies of those a snapshot handle may share, which stay
+// untouched — and swaps the root.
 //
-//reschedvet:holds bookShard.mu
-func (b *Book) shardReserveLocked(i int, start, end model.Time, procs int) error {
-	sh := &b.shards[i]
-	if sh.pprof != nil {
-		return sh.pprof.Reserve(start, end, procs)
+//reschedvet:holds mu
+func (b *Book) reserveLocked(req Request) error {
+	if b.pprof != nil {
+		return b.pprof.Reserve(req.Start, req.End, req.Procs)
 	}
-	return sh.prof.Reserve(start, end, procs)
+	return b.prof.Reserve(req.Start, req.End, req.Procs)
 }
 
-// shardUnreserveLocked undoes a clipped piece in shard i; the shard's
-// lock must be held.
+// unreserveLocked returns req's processors; the book's lock must be
+// held. The profile holds every non-released reservation, so undoing
+// one can only fail if the ledger and profile disagree: that is an
+// invariant violation, and it panics.
 //
-//reschedvet:holds bookShard.mu
-func (b *Book) shardUnreserveLocked(i int, start, end model.Time, procs int) error {
-	sh := &b.shards[i]
-	if sh.pprof != nil {
-		return sh.pprof.Unreserve(start, end, procs)
+//reschedvet:holds mu
+func (b *Book) unreserveLocked(req Request) {
+	var err error
+	if b.pprof != nil {
+		err = b.pprof.Unreserve(req.Start, req.End, req.Procs)
+	} else {
+		err = b.prof.Unreserve(req.Start, req.End, req.Procs)
 	}
-	return sh.prof.Unreserve(start, end, procs)
-}
-
-// appliedPiece records one clipped per-shard reserve for rollback.
-type appliedPiece struct {
-	shard      int
-	start, end model.Time
-	procs      int
-}
-
-// applyLocked reserves req into every shard its window overlaps,
-// clipped to the shard windows, appending the applied pieces to
-// applied (for the caller's rollback). The touched shards' locks must
-// be held. On failure the pieces applied for THIS request are already
-// rolled back; previously applied requests are the caller's to undo.
-//
-//reschedvet:holds bookShard.mu
-func (b *Book) applyLocked(req Request, applied []appliedPiece) ([]appliedPiece, error) {
-	first := len(applied)
-	lo, hi := b.shardSpan(req.Start, req.End)
-	for i := lo; i <= hi; i++ {
-		sh := &b.shards[i]
-		start, end := req.Start, req.End
-		if start < sh.start {
-			start = sh.start
-		}
-		if end > sh.end {
-			end = sh.end
-		}
-		if end <= start {
-			continue
-		}
-		if err := b.shardReserveLocked(i, start, end, req.Procs); err != nil {
-			b.rollbackLocked(applied[first:])
-			// Truncate the already-undone pieces, or the caller's own
-			// rollback of earlier requests would unreserve them twice.
-			return applied[:first], err
-		}
-		applied = append(applied, appliedPiece{shard: i, start: start, end: end, procs: req.Procs})
-	}
-	return applied, nil
-}
-
-// rollbackLocked undoes applied pieces; the shards' locks must be
-// held. A failure to undo a reserve we just made is an invariant
-// violation.
-//
-//reschedvet:holds bookShard.mu
-func (b *Book) rollbackLocked(applied []appliedPiece) {
-	for k := len(applied) - 1; k >= 0; k-- {
-		p := applied[k]
-		if err := b.shardUnreserveLocked(p.shard, p.start, p.end, p.procs); err != nil {
-			panic(fmt.Sprintf("resbook: rollback failed: %v", err))
-		}
+	if err != nil {
+		panic(fmt.Sprintf("resbook: unreserve [%d,%d)x%d failed: %v", req.Start, req.End, req.Procs, err))
 	}
 }
 
@@ -603,101 +413,77 @@ func reservationID(n uint64) string {
 	return string(strconv.AppendUint(id, n, 10))
 }
 
-// newRowLocked files the ledger row for a booked request in the shard
-// owning its start, and indexes it as Pending there; the shard's lock
-// must be held.
+// newRowLocked files the ledger row for a booked request and indexes
+// it as Pending; the book's lock must be held.
 //
-//reschedvet:holds bookShard.mu
+//reschedvet:holds mu
 func (b *Book) newRowLocked(req Request) *Reservation {
+	b.nextID++
 	r := &Reservation{
-		ID:     reservationID(b.nextID.Add(1)),
+		ID:     reservationID(b.nextID),
 		Start:  req.Start,
 		End:    req.End,
 		Procs:  req.Procs,
 		Status: Pending,
 	}
-	sh := &b.shards[b.shardFor(req.Start)]
-	sh.res[r.ID] = r
-	sh.pushPendingLocked(r)
+	b.res[r.ID] = r
+	b.pushPendingLocked(r)
 	return r
-}
-
-// bumpLocked marks shards[lo..hi] mutated and advances the global
-// version; the shards' locks must be held.
-//
-//reschedvet:holds bookShard.mu
-func (b *Book) bumpLocked(lo, hi int) {
-	for i := lo; i <= hi; i++ {
-		b.shards[i].stamp++
-	}
-	b.version.Add(1)
 }
 
 // Reserve books a single Pending reservation at the current version.
 // Unlike Commit it needs no snapshot: the capacity check happens under
-// the shard locks, so it fails only if the processors genuinely are
-// not free.
+// the lock, so it fails only if the processors genuinely are not free.
 func (b *Book) Reserve(start, end model.Time, procs int) (Reservation, error) {
 	if err := b.reserveChecks(start, end, procs); err != nil {
 		return Reservation{}, err
 	}
-	lo, hi := b.shardSpan(start, end)
-	b.lockShards(lo, hi)
-	defer b.unlockShards(lo, hi)
 	req := Request{Start: start, End: end, Procs: procs}
-	if _, err := b.applyLocked(req, nil); err != nil {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.reserveLocked(req); err != nil {
 		return Reservation{}, err
 	}
 	r := b.newRowLocked(req)
-	b.bumpLocked(lo, hi)
+	b.version.Add(1)
 	return *r, nil
 }
 
-// Commit atomically books all requests, provided every shard the
-// requests touch is still at the stamp the snapshot recorded. On a
-// stamp mismatch it returns ErrStale (wrapped) and books nothing; the
-// caller should take a fresh Snapshot, recompute, and retry. On any
-// other error (e.g. a request that does not fit the profile it was
-// computed from, which indicates a caller bug) it also books nothing.
-// Committing no requests validates every shard — the global fence the
-// single-lock book provided.
+// Commit atomically books all requests if each still fits the current
+// schedule. When one does not and the book has moved since snap was
+// taken, it returns ErrStale (wrapped) and books nothing; the caller
+// should take a fresh Snapshot, recompute, and retry. When the book is
+// still at snap.Version the schedule was computed against this very
+// book, so a misfit is a caller bug: the capacity error is returned
+// unwrapped, again with nothing booked.
 func (b *Book) Commit(snap Snapshot, reqs []Request) ([]Reservation, error) {
+	return b.commit(snap, reqs, b.origin)
+}
+
+// commit is Commit with a fence: it also fails with ErrStale, booking
+// nothing, when a Pending reservation starts before fence. The check
+// runs under the write lock before any request is applied, so it sees
+// every Pending row committed since the caller read its bound. No
+// Pending row starts before the origin, so the origin is no fence.
+func (b *Book) commit(snap Snapshot, reqs []Request, fence model.Time) ([]Reservation, error) {
 	for i, req := range reqs {
 		if err := b.reserveChecks(req.Start, req.End, req.Procs); err != nil {
 			return nil, fmt.Errorf("resbook: request %d: %w", i, err)
 		}
 	}
-	lo, hi := 0, len(b.shards)-1
-	if len(reqs) > 0 {
-		lo, hi = len(b.shards), -1
-		for _, req := range reqs {
-			l, h := b.shardSpan(req.Start, req.End)
-			if l < lo {
-				lo = l
-			}
-			if h > hi {
-				hi = h
-			}
-		}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.pending) > 0 && b.pending[0].Start < fence {
+		return nil, fmt.Errorf("%w: reservation %s activates at %d, before %d", ErrStale, b.pending[0].ID, b.pending[0].Start, fence)
 	}
-	b.lockShards(lo, hi)
-	defer b.unlockShards(lo, hi)
-	if len(snap.Epochs) != len(b.shards) {
-		return nil, fmt.Errorf("%w: snapshot of %d shards, book has %d", ErrStale, len(snap.Epochs), len(b.shards))
-	}
-	for i := lo; i <= hi; i++ {
-		if b.shards[i].stamp != snap.Epochs[i] {
-			return nil, fmt.Errorf("%w: computed at version %d, book at %d", ErrStale, snap.Version, b.version.Load())
-		}
-	}
-	// Room for one piece per request and one crossing of each locked
-	// boundary; append grows it when more requests straddle shards.
-	applied := make([]appliedPiece, 0, len(reqs)+hi-lo)
 	for i, req := range reqs {
-		var err error
-		applied, err = b.applyLocked(req, applied)
-		if err != nil {
-			b.rollbackLocked(applied)
+		if err := b.reserveLocked(req); err != nil {
+			for k := i - 1; k >= 0; k-- {
+				b.unreserveLocked(reqs[k])
+			}
+			if v := b.version.Load(); v != snap.Version {
+				return nil, fmt.Errorf("%w: computed at version %d, book at %d: request %d: %v", ErrStale, snap.Version, v, i, err)
+			}
 			return nil, fmt.Errorf("resbook: request %d: %w", i, err)
 		}
 	}
@@ -705,38 +491,30 @@ func (b *Book) Commit(snap Snapshot, reqs []Request) ([]Reservation, error) {
 	for _, req := range reqs {
 		out = append(out, *b.newRowLocked(req))
 	}
-	b.bumpLocked(lo, hi)
+	b.version.Add(1)
 	return out, nil
 }
 
 // Get returns a copy of the reservation with the given ID.
 func (b *Book) Get(id string) (Reservation, bool) {
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		r, ok := sh.res[id]
-		if ok {
-			out := *r
-			sh.mu.RUnlock()
-			return out, true
-		}
-		sh.mu.RUnlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	r, ok := b.res[id]
+	if !ok {
+		return Reservation{}, false
 	}
-	return Reservation{}, false
+	return *r, true
 }
 
 // List returns copies of all reservations (including released ones),
 // in the order they were booked.
 func (b *Book) List() []Reservation {
-	var out []Reservation
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.res {
-			out = append(out, *r)
-		}
-		sh.mu.RUnlock()
+	b.mu.RLock()
+	out := make([]Reservation, 0, len(b.res))
+	for _, r := range b.res {
+		out = append(out, *r)
 	}
+	b.mu.RUnlock()
 	// Shorter IDs first: past r999999 the zero padding runs out, and
 	// r1000000 must not sort before it.
 	slices.SortFunc(out, func(x, y Reservation) int {
@@ -750,109 +528,79 @@ func (b *Book) List() []Reservation {
 // start has already passed is overdue and clamps to `after` itself.
 // ok is false when no reservation is Pending. Backfill schedulers use
 // this as the hard bound opportunistic placements must finish by. It
-// reads the top of each shard's Pending index — O(#shards), however
-// many rows the ledger holds.
+// reads the top of the Pending index — O(1), however many rows the
+// ledger holds.
 func (b *Book) EarliestPendingActivation(after model.Time) (at model.Time, ok bool) {
-	at = model.Infinity
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		if len(sh.pending) > 0 {
-			at, ok = min(at, sh.pending[0].Start), true
-		}
-		sh.mu.RUnlock()
-	}
-	if !ok {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if len(b.pending) == 0 {
 		return 0, false
 	}
-	return max(at, after), true
+	return max(b.pending[0].Start, after), true
 }
 
 // Activate confirms a Pending reservation. Activating an Active
 // reservation is a no-op; a Released one is an error.
 func (b *Book) Activate(id string) error {
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		r, ok := sh.res[id]
-		if !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		if r.Status == Released {
-			sh.mu.Unlock()
-			return fmt.Errorf("%w: %s", ErrReleased, id)
-		}
-		if r.Status == Pending {
-			r.Status = Active
-			sh.settlePendingLocked()
-			sh.stamp++
-			b.version.Add(1)
-		}
-		sh.mu.Unlock()
-		return nil
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.res[id]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return fmt.Errorf("%w: %s", ErrNotFound, id)
+	if r.Status == Released {
+		return fmt.Errorf("%w: %s", ErrReleased, id)
+	}
+	if r.Status == Pending {
+		r.Status = Active
+		b.settlePendingLocked()
+		b.version.Add(1)
+	}
+	return nil
 }
 
 // Release cancels a Pending or Active reservation, returning its
 // processors to the profile. Releasing twice is an error.
 func (b *Book) Release(id string) error {
-	// Find the row's window first (rows never change theirs), then take
-	// the shard locks the release touches and re-check the status under
-	// them.
-	r, ok := b.Get(id)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.res[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	lo, hi := b.shardSpan(r.Start, r.End)
-	home := b.shardFor(r.Start)
-	b.lockShards(lo, hi)
-	defer b.unlockShards(lo, hi)
-	row, ok := b.shards[home].res[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if row.Status == Released {
+	if r.Status == Released {
 		return fmt.Errorf("%w: %s", ErrReleased, id)
 	}
-	for i := lo; i <= hi; i++ {
-		sh := &b.shards[i]
-		start, end := row.Start, row.End
-		if start < sh.start {
-			start = sh.start
-		}
-		if end > sh.end {
-			end = sh.end
-		}
-		if end <= start {
-			continue
-		}
-		if err := b.shardUnreserveLocked(i, start, end, row.Procs); err != nil {
-			// The shard profiles hold every non-released reservation, so
-			// undoing one can only fail if the ledger and profile disagree.
-			panic(fmt.Sprintf("resbook: release %s failed: %v", id, err))
-		}
-	}
-	row.Status = Released
-	b.shards[home].settlePendingLocked()
-	b.bumpLocked(lo, hi)
+	b.unreserveLocked(Request{Start: r.Start, End: r.End, Procs: r.Procs})
+	r.Status = Released
+	b.settlePendingLocked()
+	b.version.Add(1)
 	return nil
 }
 
 // Transact runs the optimistic-concurrency loop: snapshot, compute,
 // commit, retrying on ErrStale up to maxAttempts times. fn receives a
 // private snapshot and returns the reservation requests to commit
-// (returning an empty slice commits nothing but still validates the
-// snapshot). The snapshot is fn's only for the duration of the call:
-// snap.Avail may be a flat buffer the book recycles for the next
-// attempt and the next Transact, so fn may mutate it freely but must
-// not keep it, or anything aliasing it, once it returns (callers that
-// need a view to keep take their own Snapshot). It reports the booked
-// reservations and how many version-conflict retries occurred. Any
-// error from fn, from ctx, or a non-stale commit failure aborts the
-// loop.
+// (returning an empty slice commits nothing). The snapshot is fn's
+// only for the duration of the call: snap.Avail may be a flat buffer
+// the book recycles for the next attempt and the next Transact, so fn
+// may mutate it freely but must not keep it, or anything aliasing it,
+// once it returns (callers that need a view to keep take their own
+// Snapshot). It reports the booked reservations and how many
+// version-conflict retries occurred. Any error from fn, from ctx, or a
+// non-stale commit failure aborts the loop.
 func (b *Book) Transact(ctx context.Context, maxAttempts int, fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error) {
+	return b.TransactBefore(ctx, maxAttempts, b.origin, fn)
+}
+
+// TransactBefore is Transact for a caller that read a bound on the
+// Pending reservations before it started — the backfill guardrail,
+// which lets a job start now only if it ends by the earliest Pending
+// activation. Each commit also fails with ErrStale when a Pending
+// reservation starts before fence, checked under the write lock, so a
+// Pending row committed by another writer after the caller read its
+// bound cannot be overrun.
+func (b *Book) TransactBefore(ctx context.Context, maxAttempts int, fence model.Time, fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error) {
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
@@ -868,7 +616,7 @@ func (b *Book) Transact(ctx context.Context, maxAttempts int, fn func(Snapshot) 
 		if err != nil {
 			return nil, retries, err
 		}
-		out, err := b.Commit(snap, reqs)
+		out, err := b.commit(snap, reqs, fence)
 		if err == nil {
 			return out, retries, nil
 		}
@@ -880,14 +628,14 @@ func (b *Book) Transact(ctx context.Context, maxAttempts int, fn func(Snapshot) 
 	return nil, retries, fmt.Errorf("%w: gave up after %d attempts", ErrStale, maxAttempts)
 }
 
-// checkPendingLocked audits the shard's Pending index against its
-// ledger: the top is Pending or the heap is empty, heap order holds,
-// every entry is a row of this shard filed once, and every Pending row
-// is among them. The shard's lock must be held.
+// checkPendingLocked audits the Pending index against the ledger: the
+// top is Pending or the heap is empty, heap order holds, every entry is
+// a ledger row filed once, and every Pending row is among them. The
+// book's lock must be held.
 //
 //reschedvet:holds mu
-func (sh *bookShard) checkPendingLocked() error {
-	h := sh.pending
+func (b *Book) checkPendingLocked() error {
+	h := b.pending
 	if len(h) > 0 && h[0].Status != Pending {
 		return fmt.Errorf("pending index: top %s is %v", h[0].ID, h[0].Status)
 	}
@@ -896,15 +644,15 @@ func (sh *bookShard) checkPendingLocked() error {
 		if parent := h[(i-1)/2]; parent.Start > r.Start {
 			return fmt.Errorf("pending index: %s (start %d) sits above %s (start %d)", parent.ID, parent.Start, r.ID, r.Start)
 		}
-		if sh.res[r.ID] != r {
-			return fmt.Errorf("pending index: entry %s is not a row of this shard", r.ID)
+		if b.res[r.ID] != r {
+			return fmt.Errorf("pending index: entry %s is not a ledger row", r.ID)
 		}
 		if indexed[r] {
 			return fmt.Errorf("pending index: row %s indexed twice", r.ID)
 		}
 		indexed[r] = true
 	}
-	for _, r := range sh.res {
+	for _, r := range b.res {
 		if r.Status == Pending && !indexed[r] {
 			return fmt.Errorf("pending index: Pending row %s is missing", r.ID)
 		}
@@ -912,49 +660,52 @@ func (sh *bookShard) checkPendingLocked() error {
 	return nil
 }
 
-// CheckInvariants validates the book: every shard's Pending index
-// agrees with its ledger, every shard profile satisfies its
-// representation invariants, and replaying the ledger's non-released
-// reservations onto an empty profile reproduces the assembled global
-// profile exactly (no lost and no double-booked capacity).
+// CheckInvariants validates the book: the Pending index agrees with
+// the ledger, the profile satisfies its representation invariants, and
+// replaying the ledger's non-released reservations onto an empty tree
+// reproduces the profile's segments exactly (no lost and no
+// double-booked capacity). The replay is O(R log R).
 func (b *Book) CheckInvariants() error {
-	lo, hi := 0, len(b.shards)-1
-	b.lockShards(lo, hi)
-	defer b.unlockShards(lo, hi)
-	for i := range b.shards {
-		if err := b.shards[i].checkPendingLocked(); err != nil {
-			return fmt.Errorf("resbook: shard %d: %w", i, err)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if err := b.checkPendingLocked(); err != nil {
+		return fmt.Errorf("resbook: %w", err)
+	}
+	var got []profile.Segment
+	if b.pprof != nil {
+		if err := b.pprof.Check(); err != nil {
+			return fmt.Errorf("resbook: %w", err)
+		}
+		got = b.pprof.Segments()
+	} else {
+		if err := b.prof.Check(); err != nil {
+			return fmt.Errorf("resbook: %w", err)
+		}
+		got = b.prof.Segments()
+	}
+	want := profile.NewTree(b.capacity, b.origin)
+	for _, r := range b.res {
+		if r.Status == Released {
+			continue
+		}
+		if err := want.Reserve(r.Start, r.End, r.Procs); err != nil {
+			return fmt.Errorf("resbook: ledger replay of %s: %w", r.ID, err)
 		}
 	}
-	assembled := &profile.Profile{}
-	assembled.Reset(b.capacity, b.origin)
-	for i := range b.shards {
-		sh := &b.shards[i]
-		if sh.pprof != nil {
-			if err := sh.pprof.Check(); err != nil {
-				return fmt.Errorf("resbook: shard %d: %w", i, err)
-			}
-			sh.pprof.AppendSegmentsTo(assembled)
-		} else {
-			if err := sh.prof.Check(); err != nil {
-				return fmt.Errorf("resbook: shard %d: %w", i, err)
-			}
-			assembled.AppendWindow(sh.prof, sh.start, sh.end)
+	ws := want.Segments()
+	for i := 0; i < max(len(ws), len(got)); i++ {
+		if i >= len(ws) || i >= len(got) || ws[i] != got[i] {
+			return fmt.Errorf("resbook: ledger and profile differ at segment %d: ledger %s, profile %s (%d and %d segments)",
+				i, segmentAt(ws, i), segmentAt(got, i), len(ws), len(got))
 		}
-	}
-	want := profile.New(b.capacity, b.origin)
-	for i := range b.shards {
-		for _, r := range b.shards[i].res {
-			if r.Status == Released {
-				continue
-			}
-			if err := want.Reserve(r.Start, r.End, r.Procs); err != nil {
-				return fmt.Errorf("resbook: ledger replay of %s: %w", r.ID, err)
-			}
-		}
-	}
-	if want.String() != assembled.String() {
-		return fmt.Errorf("resbook: ledger %s != profile %s", want, assembled)
 	}
 	return nil
+}
+
+// segmentAt renders segs[i] for CheckInvariants' report, or "none".
+func segmentAt(segs []profile.Segment, i int) string {
+	if i >= len(segs) {
+		return "none"
+	}
+	return fmt.Sprintf("[%d:%d free]", segs[i].Start, segs[i].Free)
 }

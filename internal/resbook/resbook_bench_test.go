@@ -57,8 +57,7 @@ func benchBookR(b *testing.B, r int) *Book {
 
 // BenchmarkSnapshotScaling measures Snapshot against growing
 // reservation counts. On the persistent backend the cost is grabbing
-// one copy-on-write root per shard — O(#shards), so the three sizes
-// should time alike; on the old deep-copy path this scaled linearly
+// one copy-on-write root — O(1), so the three sizes should time alike; on the old deep-copy path this scaled linearly
 // in R. BenchmarkSnapshotScalingFlat keeps the oracle's linear curve
 // in the trajectory for comparison.
 func BenchmarkSnapshotScaling(b *testing.B) {
@@ -84,10 +83,7 @@ func BenchmarkSnapshotScaling(b *testing.B) {
 func BenchmarkSnapshotScalingFlat(b *testing.B) {
 	for _, r := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
-			book, err := NewShardedFlat(256, 0, 1, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			book := NewFlat(256, 0)
 			for i := 0; i < r; i++ {
 				start := model.Time(i) * 10
 				if _, err := book.Reserve(start, start+500, 1+i%4); err != nil {
@@ -107,18 +103,15 @@ func BenchmarkSnapshotScalingFlat(b *testing.B) {
 }
 
 // BenchmarkEarliestPendingActivation asks the backfill guardrail's one
-// question of 8-shard ledgers of growing size in which all but 8 rows
-// are Active — the shape a long-running engine's book has, where rows
+// question of ledgers of growing size in which all but 8 rows are
+// Active — the shape a long-running engine's book has, where rows
 // accumulate and a handful of starvation reservations wait. Reading
-// the tops of the per-shard Pending indexes, the three sizes should
-// time alike; the ledger scan this replaced was linear in the rows.
+// the top of the Pending index, the three sizes should time alike; the
+// ledger scan this replaced was linear in the rows.
 func BenchmarkEarliestPendingActivation(b *testing.B) {
 	for _, rows := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			book, err := NewSharded(256, 0, 8, model.Duration(rows*10/8+1))
-			if err != nil {
-				b.Fatal(err)
-			}
+			book := New(256, 0)
 			for i := 0; i < rows; i++ {
 				start := model.Time(i) * 10
 				r, err := book.Reserve(start, start+500, 1+i%4)
@@ -126,7 +119,7 @@ func BenchmarkEarliestPendingActivation(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i%(rows/8) == rows/16 {
-					continue // one Pending row per shard
+					continue // one Pending row per eighth of the ledger
 				}
 				if err := book.Activate(r.ID); err != nil {
 					b.Fatal(err)
@@ -185,7 +178,7 @@ func BenchmarkTransact1k(b *testing.B) {
 // BenchmarkCommitRelease50 measures the book's share of one committing
 // schedule request as RESSCHED issues it — a snapshot, one Commit of
 // 50 requests (a reservation per task), then 50 Release calls, one per
-// ID — on the 1k book. The snapshot ends the shard's edit; the 100
+// ID — on the 1k book. The snapshot ends the tree's edit; the 100
 // writes after it share the next one.
 func BenchmarkCommitRelease50(b *testing.B) {
 	book := bench1kBook(b)

@@ -79,21 +79,33 @@ func TestUnknownReservation(t *testing.T) {
 	}
 }
 
+// TestCommitVersionCheck: a commit computed at an older version is
+// stale exactly when a later mutation took processors it needs; one
+// that took other processors, or returned them, leaves it valid.
 func TestCommitVersionCheck(t *testing.T) {
 	b := New(8, 0)
 	snap := b.Snapshot()
 
-	// A mutation after the snapshot makes the commit stale.
-	if _, err := b.Reserve(0, 10, 1); err != nil {
+	// A mutation after the snapshot that takes the processors the
+	// commit needs makes it stale.
+	blocker, err := b.Reserve(15, 25, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := b.Commit(snap, []Request{{Start: 20, End: 30, Procs: 2}})
+	_, err = b.Commit(snap, []Request{{Start: 20, End: 30, Procs: 2}})
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("commit on stale snapshot: %v, want ErrStale", err)
 	}
 
-	// A fresh snapshot commits fine, atomically booking both requests.
-	snap = b.Snapshot()
+	// Mutations that leave the processors free do not: the snapshot is
+	// now three versions old and still commits, atomically booking both
+	// requests.
+	if _, err := b.Reserve(0, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Release(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
 	out, err := b.Commit(snap, []Request{
 		{Start: 20, End: 30, Procs: 2},
 		{Start: 25, End: 40, Procs: 3},
@@ -153,25 +165,20 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestFlatSnapshotIsolation is TestSnapshotIsolation on the flat
-// backend, single- and multi-shard: its snapshots copy the shards'
-// profiles into the caller's buffer, and a snapshot that handed out a
-// shard's live profile instead would let staging write the book.
+// backend: its snapshots copy the book's profile into the caller's
+// buffer, and a snapshot that handed out the live profile instead
+// would let staging write the book.
 func TestFlatSnapshotIsolation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		b, err := NewShardedFlat(8, 0, shards, model.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := b.Snapshot()
-		if err := snap.Avail.Reserve(0, 100, 8); err != nil {
-			t.Fatal(err)
-		}
-		if got := b.Snapshot().Avail.FreeAt(50); got != 8 {
-			t.Errorf("%d shards: snapshot mutation leaked into the book: %d free", shards, got)
-		}
-		if err := b.CheckInvariants(); err != nil {
-			t.Errorf("%d shards: %v", shards, err)
-		}
+	b := NewFlat(8, 0)
+	snap := b.Snapshot()
+	if err := snap.Avail.Reserve(0, 100, 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Snapshot().Avail.FreeAt(50); got != 8 {
+		t.Errorf("snapshot mutation leaked into the book: %d free", got)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -212,14 +219,18 @@ func TestTransactRetriesOnStale(t *testing.T) {
 	calls := 0
 	out, retries, err := b.Transact(context.Background(), 5, func(snap Snapshot) ([]Request, error) {
 		calls++
+		fit, err := snap.Avail.EarliestFitChecked(2, 10, 20)
+		if err != nil {
+			return nil, err
+		}
 		if calls == 1 {
-			// Interleave a conflicting mutation so the first commit is
-			// computed against a stale snapshot.
-			if _, err := b.Reserve(0, 10, 1); err != nil {
+			// Interleave a mutation that takes the processors the first
+			// commit is computed to use, so it no longer fits.
+			if _, err := b.Reserve(20, 30, 7); err != nil {
 				return nil, err
 			}
 		}
-		return []Request{{Start: 20, End: 30, Procs: 2}}, nil
+		return []Request{{Start: fit, End: fit + 10, Procs: 2}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,17 +249,80 @@ func TestTransactRetriesOnStale(t *testing.T) {
 func TestTransactGivesUp(t *testing.T) {
 	b := New(8, 0)
 	_, retries, err := b.Transact(context.Background(), 3, func(snap Snapshot) ([]Request, error) {
-		// Always conflict.
-		if _, err := b.Reserve(0, 1000, 1); err != nil {
+		// Always conflict: take one of the processors of the slot the
+		// whole cluster is computed to use.
+		fit, err := snap.Avail.EarliestFitChecked(8, 10, 0)
+		if err != nil {
 			return nil, err
 		}
-		return []Request{{Start: 0, End: 10, Procs: 1}}, nil
+		if _, err := b.Reserve(fit, fit+10, 1); err != nil {
+			return nil, err
+		}
+		return []Request{{Start: fit, End: fit + 10, Procs: 8}}, nil
 	})
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("Transact under permanent conflict: %v, want ErrStale", err)
 	}
 	if retries != 3 {
 		t.Errorf("retries = %d, want 3", retries)
+	}
+}
+
+// TestTransactBeforeFence is the backfill guardrail's race with another
+// writer, made deterministic: the caller reads "nothing Pending" as its
+// bound, then — between that read and its commit, here inside the
+// compute callback — another writer books a Pending reservation that
+// starts before the caller's job would end. The job's own processors
+// are still free, so only the fence can refuse it: every attempt must
+// fail ErrStale and book nothing. A fence at or before the Pending
+// start, and plain Transact, let the same placement commit.
+func TestTransactBeforeFence(t *testing.T) {
+	b := New(8, 0)
+	const now, dur = 0, 100
+	if _, ok := b.EarliestPendingActivation(now); ok {
+		t.Fatal("fresh book has a Pending reservation")
+	}
+	job := []Request{{Start: now, End: now + dur, Procs: 2}}
+	calls := 0
+	_, retries, err := b.TransactBefore(context.Background(), 3, now+dur, func(Snapshot) ([]Request, error) {
+		calls++
+		if calls == 1 {
+			if _, err := b.Reserve(60, 160, 1); err != nil {
+				return nil, err
+			}
+		}
+		return job, nil
+	})
+	if !errors.Is(err, ErrStale) {
+		t.Fatalf("commit past a Pending activation: %v, want ErrStale", err)
+	}
+	if retries != 3 {
+		t.Errorf("retries = %d, want 3", retries)
+	}
+	if n := len(b.List()); n != 1 {
+		t.Fatalf("ledger holds %d rows, want only the Pending one", n)
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error)
+	}{
+		{"fence at the Pending start", func(fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error) {
+			return b.TransactBefore(context.Background(), 1, 60, fn)
+		}},
+		{"no fence", func(fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error) {
+			return b.Transact(context.Background(), 1, fn)
+		}},
+	} {
+		out, _, err := tc.run(func(Snapshot) ([]Request, error) {
+			return []Request{{Start: now, End: 60, Procs: 1}}, nil
+		})
+		if err != nil || len(out) != 1 {
+			t.Fatalf("%s: booked %v, err %v", tc.name, out, err)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -308,7 +382,7 @@ func TestReservationIDFormat(t *testing.T) {
 // plain string sort files r1000000 before r999999; List must not.
 func TestListOrderPastSixDigits(t *testing.T) {
 	b := New(8, 0)
-	b.nextID.Store(999_997)
+	b.nextID = 999_997
 	for i := 0; i < 4; i++ {
 		_, err := b.Reserve(model.Time(10*i), model.Time(10*i+5), 1)
 		mustNil(t, err)

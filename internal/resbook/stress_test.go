@@ -33,8 +33,9 @@ func stressDAG(t *testing.T, branches int) *dag.Graph {
 // TestConcurrentBooking is the serving-path stress test: 8 concurrent
 // clients repeatedly schedule applications and book direct
 // reservations against one book. Every round hands all clients a
-// snapshot at the same version, so all but the first committer must
-// observe a version-conflict retry. Afterwards the ledger must
+// snapshot at the same version, and their schedules all start at the
+// origin on up to half of the cluster each, so commits find their
+// processors taken and retry. Afterwards the ledger must
 // account for every booking exactly once and the profile must satisfy
 // its invariants.
 func TestConcurrentBooking(t *testing.T) {
@@ -155,9 +156,10 @@ func TestConcurrentBooking(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Within each round all workers committed against one version, so
-	// every worker except the round's first committer retried at least
-	// once.
+	// Within each round all workers committed against one version and
+	// competed for the same processors: at most two half-cluster
+	// schedules fit at once, so across the rounds at least workers-1
+	// commits retried.
 	if got := retries.Load(); got < workers-1 {
 		t.Errorf("observed %d version-conflict retries, want >= %d", got, workers-1)
 	}

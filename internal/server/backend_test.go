@@ -22,14 +22,7 @@ import (
 // afterwards.
 func TestFlatAndPersistentBooksServeIdentically(t *testing.T) {
 	const capacity = 32
-	flatBook, err := resbook.NewShardedFlat(capacity, 0, 4, model.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	persBook, err := resbook.NewSharded(capacity, 0, 4, model.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flatBook, persBook := resbook.NewFlat(capacity, 0), resbook.New(capacity, 0)
 	rng := rand.New(rand.NewSource(3))
 	for flatBook.Snapshot().Avail.NumSegments() < 2*profile.AutoTreeThreshold {
 		start := model.Time(rng.Int63n(int64(2 * model.Day)))

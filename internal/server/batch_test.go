@@ -149,8 +149,8 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchConflictRetry: a version bump between snapshot and commit
-// sends the whole batch around the optimistic loop once, and both the
+// TestBatchConflictRetry: a capacity conflict between snapshot and
+// commit sends the whole batch around the optimistic loop once, and both the
 // batch and every job in it report that retry.
 func TestBatchConflictRetry(t *testing.T) {
 	ts, srv, book := newTestServer(t, 8, server.Config{})
@@ -174,14 +174,15 @@ func TestBatchConflictRetry(t *testing.T) {
 // gives up with 409 and books nothing.
 func TestBatchRetryExhaustion(t *testing.T) {
 	ts, srv, book := newTestServer(t, 8, server.Config{MaxRetries: 3})
-	conflictAlways(t, srv, book)
+	hooked := conflictAlways(t, srv, book)
 
 	resp, raw := postJSON(t, ts.URL+"/v1/schedule/batch", batchOf(t, 3, true))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("permanently conflicted batch: HTTP %d (%s), want 409", resp.StatusCode, raw)
 	}
+	taken := hooked()
 	for _, r := range book.List() {
-		if r.Start != 1_000_000 {
+		if !taken[r.ID] {
 			t.Errorf("gave-up batch leaked reservation %+v", r)
 		}
 	}

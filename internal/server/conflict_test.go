@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,43 +14,88 @@ import (
 	"resched/internal/server"
 )
 
+// takeCapacity books every processor still free from the book's
+// origin up to and including the first instant at which the whole
+// cluster is free, one reservation per segment, and returns the IDs it
+// booked. A schedule computed at the origin on any earlier snapshot
+// starts its first task at or before that instant — nothing here
+// returns processors in that range — so its commit no longer fits.
+// Successive calls take successive windows.
+func takeCapacity(book *resbook.Book) ([]string, error) {
+	avail := book.Snapshot().Avail
+	end, err := avail.EarliestFitChecked(book.Capacity(), 1, book.Origin())
+	if err != nil {
+		return nil, err
+	}
+	end++
+	segs := avail.Segments()
+	var ids []string
+	for i, seg := range segs {
+		if seg.Start >= end {
+			break
+		}
+		segEnd := end
+		if i+1 < len(segs) && segs[i+1].Start < end {
+			segEnd = segs[i+1].Start
+		}
+		if seg.Free == 0 {
+			continue
+		}
+		r, err := book.Reserve(seg.Start, segEnd, seg.Free)
+		if err != nil {
+			return ids, err
+		}
+		ids = append(ids, r.ID)
+	}
+	return ids, nil
+}
+
 // conflictOnce makes the first commit attempt after it stale: the
-// before-commit hook books one unrelated reservation, once.
+// before-commit hook takes the processors the schedule needs, once.
 func conflictOnce(t *testing.T, srv *server.Server, book *resbook.Book) {
 	var fired atomic.Bool
 	srv.SetBeforeCommitHook(func() {
 		if fired.CompareAndSwap(false, true) {
-			if _, err := book.Reserve(0, 60, 1); err != nil {
+			if _, err := takeCapacity(book); err != nil {
 				t.Errorf("conflicting reserve: %v", err)
 			}
 		}
 	})
 }
 
-// conflictAlways makes every commit attempt stale: the hook bumps the
-// book's version, by a reserve and its release, before each one.
-func conflictAlways(t *testing.T, srv *server.Server, book *resbook.Book) {
+// conflictAlways makes every commit attempt stale: before each one the
+// hook takes the processors the schedule needs, in the next window
+// each time. It returns the IDs of every reservation the hook booked.
+func conflictAlways(t *testing.T, srv *server.Server, book *resbook.Book) func() map[string]bool {
+	var mu sync.Mutex
+	taken := map[string]bool{}
 	srv.SetBeforeCommitHook(func() {
-		res, err := book.Reserve(1_000_000, 1_000_010, 1)
+		ids, err := takeCapacity(book)
 		if err != nil {
 			t.Errorf("conflicting Reserve: %v", err)
-			return
 		}
-		if err := book.Release(res.ID); err != nil {
-			t.Errorf("conflicting Release: %v", err)
+		mu.Lock()
+		for _, id := range ids {
+			taken[id] = true
 		}
+		mu.Unlock()
 	})
+	return func() map[string]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return taken
+	}
 }
 
 // TestCommitRetryExhaustion drives the commit loop into permanent
-// version conflict: the before-commit hook bumps the book's version
-// before every commit attempt, so after MaxRetries recomputations the
+// version conflict: the before-commit hook takes the schedule's
+// processors before every commit attempt, so after MaxRetries recomputations the
 // request must give up with 409 and an error naming the retry budget,
 // leaving the book without the loser's reservations.
 func TestCommitRetryExhaustion(t *testing.T) {
 	const maxRetries = 3
 	ts, srv, book := newTestServer(t, 16, server.Config{Workers: 2, Timeout: time.Minute, MaxRetries: maxRetries})
-	conflictAlways(t, srv, book)
+	hooked := conflictAlways(t, srv, book)
 
 	versionBefore := book.Version()
 	resp, raw := postJSON(t, ts.URL+"/v1/schedule", api.ScheduleRequest{DAG: testDAGJSON(t, 2), Commit: true})
@@ -64,13 +110,17 @@ func TestCommitRetryExhaustion(t *testing.T) {
 		t.Errorf("error %q does not mention retry exhaustion", apiErr.Error)
 	}
 
-	// Every version bump came from the hook's reserve+release pairs:
-	// the initial attempt plus maxRetries recomputes, two bumps each.
-	if got, want := book.Version(), versionBefore+2*(maxRetries+1); got != want {
+	// Every version bump came from the hook's reservations, taken
+	// before the initial attempt and each of maxRetries recomputes.
+	taken := hooked()
+	if len(taken) < maxRetries+1 {
+		t.Errorf("hook booked %d reservations, want at least %d", len(taken), maxRetries+1)
+	}
+	if got, want := book.Version(), versionBefore+uint64(len(taken)); got != want {
 		t.Errorf("version = %d, want %d", got, want)
 	}
 	for _, r := range book.List() {
-		if r.Start != 1_000_000 {
+		if !taken[r.ID] {
 			t.Errorf("gave-up commit leaked reservation %+v", r)
 		}
 	}
@@ -79,8 +129,8 @@ func TestCommitRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestCommitConflictRetry: a single version bump between snapshot and
-// commit sends the request around the optimistic loop once, and the
+// TestCommitConflictRetry: a single capacity conflict between snapshot
+// and commit sends the request around the optimistic loop once, and the
 // eventual success reports exactly that retry.
 func TestCommitConflictRetry(t *testing.T) {
 	ts, srv, book := newTestServer(t, 64, server.Config{})

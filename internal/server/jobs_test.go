@@ -20,15 +20,12 @@ import (
 	"resched/internal/server"
 )
 
-// newOnlineServer builds an engine over a sharded book and a server
+// newOnlineServer builds an engine over a book and a server
 // exposing it. The engine is driven manually (AdvanceTo) so tests are
 // deterministic.
 func newOnlineServer(t *testing.T, capacity int) (*httptest.Server, *lifecycle.Engine) {
 	t.Helper()
-	book, err := resbook.NewSharded(capacity, 0, 4, model.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	book := resbook.New(capacity, 0)
 	eng, err := lifecycle.New(lifecycle.Config{Book: book, Backfill: true, StarveAttempts: 50, StarveAge: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +158,9 @@ func TestJobSubmitValidation(t *testing.T) {
 }
 
 // TestReservationLifecycleSharded drives Pending→Active→Released over
-// HTTP through a sharded book with a window spanning two shards, and
-// checks the invalid-transition and double-release error paths.
+// HTTP through a book built by NewSharded, as the benchmark module
+// builds its books, and checks the invalid-transition and
+// double-release error paths.
 func TestReservationLifecycleSharded(t *testing.T) {
 	book, err := resbook.NewSharded(4, 0, 4, model.Hour)
 	if err != nil {
@@ -175,7 +173,6 @@ func TestReservationLifecycleSharded(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	// Window [30min, 90min) spans the first two hour-epoch shards.
 	resp, raw := postJSON(t, ts.URL+"/v1/reservations",
 		api.ReservationRequest{Start: 30 * model.Minute, End: 90 * model.Minute, Procs: 2})
 	if resp.StatusCode != http.StatusCreated {

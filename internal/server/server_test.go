@@ -375,34 +375,32 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestConcurrentClients is the serving-path acceptance test: 8
 // concurrent HTTP clients fire schedule-and-commit plus direct
-// reservation traffic at one daemon while an interferer keeps bumping
-// the book version, so commits computed on a snapshot go stale and
-// the optimistic-concurrency loop must retry. Afterwards the book
-// must account for every booking exactly once.
+// reservation traffic at one daemon while an interferer keeps taking
+// the processors schedules start on, so commits computed on a snapshot
+// go stale and the optimistic-concurrency loop must retry. Afterwards
+// the book must account for every booking exactly once.
 func TestConcurrentClients(t *testing.T) {
 	// Scheduling a small DAG takes microseconds, so on a single CPU
 	// two clients essentially never overlap inside the
 	// snapshot→commit window on their own. A before-commit hook makes
 	// staleness deterministic instead of a timing coincidence: the
-	// first conflictBudget commit attempts find the version moved and
-	// must recompute. MaxRetries is raised so no single request can
+	// first conflictBudget commit attempts find their processors taken
+	// and must recompute. MaxRetries is raised so no single request can
 	// exhaust its budget against the hook and fail with 409.
 	ts, srv, book := newTestServer(t, 64, server.Config{Workers: 8, Timeout: time.Minute, MaxRetries: 1 << 20})
 
 	const clients = 8
 	const rounds = 6
 	const conflictBudget = 12
-	var conflictsLeft atomic.Int64
+	var conflictsLeft, hookRows atomic.Int64
 	conflictsLeft.Store(conflictBudget)
 	srv.SetBeforeCommitHook(func() {
 		if conflictsLeft.Add(-1) >= 0 {
-			// Far-future reserve+release: bumps the version twice and
-			// leaves no trace in the final ledger accounting below
-			// (both reservations end up released).
-			res, err := book.Reserve(2_000_000, 2_000_005, 1)
-			if err == nil {
-				_ = book.Release(res.ID)
-			}
+			// Another client may book in between and refuse one of the
+			// hook's reservations; the ones it did book stay Pending and
+			// are counted in the ledger accounting below.
+			ids, _ := takeCapacity(book)
+			hookRows.Add(int64(len(ids)))
 		}
 	})
 
@@ -475,7 +473,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 
 	// Every committed reservation is accounted for exactly once.
-	wantBooked := int(totalBooked.Load())
+	wantBooked := int(totalBooked.Load() + hookRows.Load())
 	var pending, released int
 	for _, r := range book.List() {
 		switch r.Status.String() {
@@ -486,7 +484,7 @@ func TestConcurrentClients(t *testing.T) {
 		}
 	}
 	if pending != wantBooked {
-		t.Errorf("book holds %d pending reservations, clients committed %d", pending, wantBooked)
+		t.Errorf("book holds %d pending reservations, clients and hook committed %d", pending, wantBooked)
 	}
 	if err := book.CheckInvariants(); err != nil {
 		t.Fatal(err)
