@@ -15,19 +15,10 @@ import (
 //
 // attached to a function declaration's doc comment.
 
-// The lock-contract directives are validated and enforced at call
-// sites by guardedby; lockhold and guardedby both apply them through
-// the shared lockset transfer (lockset.go).
-const (
-	// HoldsDirective declares that callers must hold the named mutex.
-	HoldsDirective = "//reschedvet:holds"
-	// AcquiresDirective declares that calling the function acquires
-	// the named mutex and leaves it held.
-	AcquiresDirective = "//reschedvet:acquires"
-	// ReleasesDirective declares that calling the function releases
-	// the named mutex.
-	ReleasesDirective = "//reschedvet:releases"
-)
+// HoldsDirective declares that callers must hold the named mutex. It
+// is validated and enforced at call sites by guardedby, and seeds the
+// entry lockset of lockhold and guardedby alike (lockset.go).
+const HoldsDirective = "//reschedvet:holds"
 
 // HasDirective reports whether the comment group carries the directive
 // (exact name; a longer word sharing the prefix does not match).
@@ -160,51 +151,31 @@ func ChanVar(info *types.Info, e ast.Expr) *types.Var {
 	return nil
 }
 
-// LockContractSpec is the parsed form of a function's lock-contract
-// directives, mutex names as written (field or Type.field).
+// LockContractSpec is the parsed form of a function's holds
+// directive: the field names of the mutexes every caller must hold.
 type LockContractSpec struct {
-	Holds    []string
-	Acquires []string
-	Releases []string
+	Holds []string
 }
 
-// ParseLockContract reads the holds/acquires/releases directives off a
-// doc comment without validating the named mutexes (guardedby owns the
-// hygiene reports). ok is true when at least one directive names at
-// least one mutex.
+// ParseLockContract reads the holds directive off a doc comment
+// without validating the named mutexes (guardedby owns the hygiene
+// reports). ok is true when the directive names at least one mutex.
 func ParseLockContract(doc *ast.CommentGroup) (LockContractSpec, bool) {
 	var spec LockContractSpec
-	for _, d := range []struct {
-		directive string
-		into      *[]string
-	}{
-		{HoldsDirective, &spec.Holds},
-		{AcquiresDirective, &spec.Acquires},
-		{ReleasesDirective, &spec.Releases},
-	} {
-		if args, ok := DirectiveArgs(doc, d.directive); ok {
-			*d.into = strings.Fields(args)
-		}
+	if args, ok := DirectiveArgs(doc, HoldsDirective); ok {
+		spec.Holds = strings.Fields(args)
 	}
-	return spec, len(spec.Holds)+len(spec.Acquires)+len(spec.Releases) > 0
+	return spec, len(spec.Holds) > 0
 }
 
-// ResolveMutexSpec resolves a directive's mutex name for fn: a bare
-// field name against fn's receiver struct, or Type.field against a
-// struct type in fn's package.
-func ResolveMutexSpec(pkg *types.Package, fn *types.Func, spec string) *types.Var {
-	var st *types.Struct
-	name := spec
-	if t, f, ok := strings.Cut(spec, "."); ok {
-		name = f
-		obj, _ := pkg.Scope().Lookup(t).(*types.TypeName)
-		if obj == nil {
-			return nil
-		}
-		st, _ = obj.Type().Underlying().(*types.Struct)
-	} else if named := ReceiverNamed(fn); named != nil {
-		st, _ = named.Underlying().(*types.Struct)
+// ResolveMutexSpec resolves a directive's mutex name for fn: a field
+// name against fn's receiver struct.
+func ResolveMutexSpec(fn *types.Func, name string) *types.Var {
+	named := ReceiverNamed(fn)
+	if named == nil {
+		return nil
 	}
+	st, _ := named.Underlying().(*types.Struct)
 	if st == nil {
 		return nil
 	}

@@ -1,23 +1,15 @@
 // Package guardedby checks the lock contracts of the serving tree's
 // helpers. The serving code factors critical sections through *Locked
-// methods that assume their caller holds a lock, and through wrappers
-// that acquire or release a lock behind one call. Three function
-// directives make
-// those contracts checkable instead of invisible:
+// methods that assume their caller holds a lock. One function
+// directive makes that contract checkable instead of invisible:
 //
-//	//reschedvet:holds mu          the caller must hold mu (seeds the
-//	                               entry lockset; every call site is
-//	                               checked for it)
-//	//reschedvet:acquires T.mu     calling this function acquires mu
-//	//reschedvet:releases T.mu     calling this function releases mu
+//	//reschedvet:holds mu   the caller must hold mu (seeds the entry
+//	                        lockset; every call site is checked for it)
 //
 // A mutex is named by its field name, resolved against the receiver's
-// struct, or by Type.field against a struct type in the function's
-// package — the form lock wrappers need when the mutex lives in an
-// element type rather than the receiver. Contracts
-// export a LockContract fact so cross-package call sites see them, and
-// a directive naming no mutex, or one that does not resolve, is itself
-// a finding.
+// struct. Contracts export a LockContract fact so cross-package call
+// sites see them, and a directive naming no mutex, or one that does
+// not resolve, is itself a finding.
 //
 // Every call to a function with a holds contract must happen with the
 // named lock held on every path: a forward must-held lockset analysis
@@ -39,18 +31,14 @@ package guardedby
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"resched/internal/analysis"
 )
 
-// LockContract is the object fact on a function carrying holds /
-// acquires / releases directives. Mutex names are as written in the
-// directive (field, or Type.field in the function's package).
+// LockContract is the object fact on a function carrying a holds
+// directive. Mutex names are the receiver's field names, as written.
 type LockContract struct {
-	Holds    []string `json:",omitempty"`
-	Acquires []string `json:",omitempty"`
-	Releases []string `json:",omitempty"`
+	Holds []string `json:",omitempty"`
 }
 
 func (*LockContract) AFact() {}
@@ -64,7 +52,7 @@ func init() {
 var Analyzer = &analysis.Analyzer{
 	Name: "guardedby",
 	Doc: "a function whose //reschedvet:holds contract names a mutex is only called while that " +
-		"mutex is held on every path; :acquires and :releases declare lock-span wrappers",
+		"mutex is held on every path",
 	Run: run,
 }
 
@@ -109,9 +97,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// collectContracts gathers holds/acquires/releases directives on this
-// package's function declarations, validates that every named mutex
-// resolves, and exports the facts.
+// collectContracts gathers holds directives on this package's function
+// declarations, validates that every named mutex resolves, and exports
+// the facts.
 func collectContracts(pass *analysis.Pass) map[*types.Func]*LockContract {
 	contracts := map[*types.Func]*LockContract{}
 	decls, _ := analysis.FuncDecls(pass.Files, pass.TypesInfo)
@@ -119,21 +107,11 @@ func collectContracts(pass *analysis.Pass) map[*types.Func]*LockContract {
 		if pass.InTestFile(fd.Pos()) {
 			continue
 		}
-		spec, any := analysis.ParseLockContract(fd.Doc)
-		for _, d := range []struct {
-			directive string
-			names     []string
-		}{
-			{analysis.HoldsDirective, spec.Holds},
-			{analysis.AcquiresDirective, spec.Acquires},
-			{analysis.ReleasesDirective, spec.Releases},
-		} {
-			if _, ok := analysis.DirectiveArgs(fd.Doc, d.directive); ok && len(d.names) == 0 {
-				pass.Reportf(fd.Pos(), "%s directive on %s names no mutex",
-					strings.TrimPrefix(d.directive, "//reschedvet:"), fd.Name.Name)
+		spec, ok := analysis.ParseLockContract(fd.Doc)
+		if !ok {
+			if analysis.HasDirective(fd.Doc, analysis.HoldsDirective) {
+				pass.Reportf(fd.Pos(), "holds directive on %s names no mutex", fd.Name.Name)
 			}
-		}
-		if !any {
 			continue
 		}
 		lc := LockContract(spec)
@@ -141,8 +119,8 @@ func collectContracts(pass *analysis.Pass) map[*types.Func]*LockContract {
 		if fn == nil {
 			continue
 		}
-		for _, name := range append(append(append([]string{}, lc.Holds...), lc.Acquires...), lc.Releases...) {
-			if analysis.ResolveMutexSpec(pass.Pkg, fn, name) == nil {
+		for _, name := range lc.Holds {
+			if analysis.ResolveMutexSpec(fn, name) == nil {
 				pass.Reportf(fd.Pos(), "lock contract on %s names %s, which does not resolve to a mutex field",
 					fd.Name.Name, name)
 			}
@@ -188,7 +166,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, contractOf analysis.Contra
 
 	// heldIn[i] is the must-held set entering block i; nil = unreached.
 	heldIn := make([]analysis.Lockset, n)
-	heldIn[0] = analysis.EntryLockset(pass.Pkg, fn, contractOf(fn))
+	heldIn[0] = analysis.EntryLockset(fn, contractOf(fn))
 	for changed := true; changed; {
 		changed = false
 		for _, b := range cfg.Blocks {
@@ -197,7 +175,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, contractOf analysis.Contra
 			}
 			out := heldIn[b.Index].Clone()
 			for _, node := range b.Nodes {
-				analysis.TransferLocks(info, node, out, contractOf)
+				analysis.TransferLocks(info, node, out)
 			}
 			for _, succ := range b.Succs {
 				if heldIn[succ.Index] == nil {
@@ -233,7 +211,7 @@ func visit(pass *analysis.Pass, node ast.Node, held analysis.Lockset, contractOf
 			if fn := analysis.Callee(info, n); fn != nil {
 				if lc := contractOf(fn); lc != nil {
 					for _, name := range lc.Holds {
-						v := analysis.ResolveMutexSpec(fn.Pkg(), fn, name)
+						v := analysis.ResolveMutexSpec(fn, name)
 						if v == nil {
 							continue
 						}
@@ -244,7 +222,7 @@ func visit(pass *analysis.Pass, node ast.Node, held analysis.Lockset, contractOf
 					}
 				}
 			}
-			analysis.ApplyLockCall(info, n, held, contractOf)
+			analysis.ApplyLockCall(info, n, held)
 		}
 		return true
 	})

@@ -4,15 +4,9 @@ package resbook
 
 import "sync"
 
-type shard struct {
-	mu    sync.RWMutex
-	stamp uint64
-}
-
 type Book struct {
-	Mu     sync.Mutex
-	Count  int
-	shards []shard
+	Mu    sync.Mutex
+	Count int
 }
 
 // applyLocked assumes the caller holds Mu.
@@ -72,47 +66,6 @@ func (b *Book) MergeLocked(src int) {
 func (b *Book) mergeTwice(src int) {
 	b.MergeLocked(src)
 	b.MergeLocked(src)
-}
-
-// lockAll acquires every shard lock in index order.
-//
-//reschedvet:acquires shard.mu
-func (b *Book) lockAll() {
-	for i := range b.shards {
-		b.shards[i].mu.Lock()
-	}
-}
-
-// unlockAll releases every shard lock.
-//
-//reschedvet:releases shard.mu
-func (b *Book) unlockAll() {
-	for i := range b.shards {
-		b.shards[i].mu.Unlock()
-	}
-}
-
-// bumpLocked needs the shard locks the wrappers take.
-//
-//reschedvet:holds shard.mu
-func (b *Book) bumpLocked() {
-	for i := range b.shards {
-		b.shards[i].stamp++
-	}
-}
-
-// Bump's call is covered by the wrapper contracts.
-func (b *Book) Bump() {
-	b.lockAll()
-	defer b.unlockAll()
-	b.bumpLocked()
-}
-
-// BadBump releases before the call.
-func (b *Book) BadBump() {
-	b.lockAll()
-	b.unlockAll()
-	b.bumpLocked() // want "call to bumpLocked requires holding shard.mu"
 }
 
 var _ = (*Book).mergeTwice

@@ -30,12 +30,10 @@
 //     lock — is flagged when called under a lock in internal/server.
 //
 // The lockset itself is analysis.TransferLocks, shared with guardedby:
-// direct Lock/Unlock calls, deferred statements skipped, and the lock
-// contracts of this package's functions (//reschedvet:holds seeds a
-// body's entry set; a call to an :acquires or :releases function edits
-// the caller's), so sections behind a lock-taking helper are checked
-// too. Only the join differs: a union here, an intersection in
-// guardedby.
+// direct Lock/Unlock calls, deferred statements skipped, and a body's
+// entry set seeded by its own //reschedvet:holds contract, so a *Locked
+// helper's section is checked too. Only the join differs: a union
+// here, an intersection in guardedby.
 //
 // Goroutine launches are not blocking at the launch site and their
 // bodies run on their own stacks, so `go` statements are ignored both
@@ -82,17 +80,10 @@ func run(pass *analysis.Pass) error {
 	if !CheckedPackages[pass.Pkg.Path()] {
 		return nil
 	}
-	decls, byObj := analysis.FuncDecls(pass.Files, pass.TypesInfo)
-	contracts := map[*types.Func]*analysis.LockContractSpec{}
-	for fn, fd := range byObj {
-		if spec, ok := analysis.ParseLockContract(fd.Doc); ok {
-			contracts[fn] = &spec
-		}
-	}
-	contract := func(fn *types.Func) *analysis.LockContractSpec { return contracts[fn] }
+	decls, _ := analysis.FuncDecls(pass.Files, pass.TypesInfo)
 	for _, fd := range decls {
 		if !pass.InTestFile(fd.Pos()) {
-			checkSections(pass, fd, contract, mayBlock)
+			checkSections(pass, fd, mayBlock)
 		}
 	}
 	return nil
@@ -214,9 +205,8 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 
 // checkSections runs the may-held analysis over fd, starting from the
 // locks its own holds contract names, and reports blocking operations
-// under a lock. Lock contracts of this package's functions apply at
-// their call sites.
-func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.ContractFunc, mayBlock map[*types.Func]bool) {
+// under a lock.
+func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, mayBlock map[*types.Func]bool) {
 	info := pass.TypesInfo
 	cfg := analysis.NewCFG(fd.Body)
 	n := len(cfg.Blocks)
@@ -246,7 +236,8 @@ func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.Cont
 	// reached.
 	fn, _ := info.Defs[fd.Name].(*types.Func)
 	heldIn := make([]analysis.Lockset, n)
-	heldIn[0] = analysis.EntryLockset(pass.Pkg, fn, contract(fn))
+	spec, _ := analysis.ParseLockContract(fd.Doc)
+	heldIn[0] = analysis.EntryLockset(fn, &spec)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range cfg.Blocks {
@@ -255,7 +246,7 @@ func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.Cont
 			}
 			out := heldIn[b.Index].Clone()
 			for _, node := range b.Nodes {
-				analysis.TransferLocks(info, node, out, contract)
+				analysis.TransferLocks(info, node, out)
 			}
 			for _, succ := range b.Succs {
 				if heldIn[succ.Index] == nil {
@@ -277,9 +268,9 @@ func checkSections(pass *analysis.Pass, fd *ast.FuncDecl, contract analysis.Cont
 		held := heldIn[b.Index].Clone() // nil clones to empty: unreachable blocks hold nothing
 		for _, node := range b.Nodes {
 			if !comms[node] {
-				visitHeld(pass, node, held.Clone(), contract, mayBlock, deferred)
+				visitHeld(pass, node, held.Clone(), mayBlock, deferred)
 			}
-			analysis.TransferLocks(info, node, held, contract)
+			analysis.TransferLocks(info, node, held)
 		}
 	}
 }
@@ -359,7 +350,7 @@ func heldName(held analysis.Lockset) string {
 // call in the same statement is still caught, and the acquiring call
 // itself is not. deferred marks locks released by a same-block deferred unlock, which the
 // blocking reports call out as held until return.
-func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, contract analysis.ContractFunc, mayBlock map[*types.Func]bool, deferred map[*types.Var]bool) {
+func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, mayBlock map[*types.Func]bool, deferred map[*types.Var]bool) {
 	info := pass.TypesInfo
 	analysis.WalkBlockNode(node, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -385,7 +376,7 @@ func visitHeld(pass *analysis.Pass, node ast.Node, local analysis.Lockset, contr
 			}
 		case *ast.CallExpr:
 			reportCall(pass, n, local, mayBlock, deferred)
-			analysis.ApplyLockCall(info, n, local, contract)
+			analysis.ApplyLockCall(info, n, local)
 		}
 		return true
 	})

@@ -76,22 +76,6 @@ func (b *Book) NotifyAsync(ch chan int) {
 	}()
 }
 
-// lockAll acquires the book's lock for its caller: a lock-taking
-// helper with an acquires contract.
-//
-//reschedvet:acquires mu
-func (b *Book) lockAll() {
-	b.mu.Lock()
-}
-
-// Positive: the lock a contract call acquired is held afterwards.
-func (b *Book) WaitAfterLockAll(ch chan int) int {
-	b.lockAll()
-	v := <-ch // want "channel receive may block while mu is held"
-	b.mu.Unlock()
-	return v
-}
-
 // Positive: a *Locked helper runs with its holds contract's lock held.
 //
 //reschedvet:holds mu

@@ -18,7 +18,7 @@ type LockMode int
 const (
 	// ReadLocked: held through RLock.
 	ReadLocked LockMode = iota + 1
-	// WriteLocked: held through Lock, or acquired by a contract.
+	// WriteLocked: held through Lock, or named by a holds contract.
 	WriteLocked
 )
 
@@ -40,37 +40,17 @@ func (s Lockset) Clone() Lockset {
 type ContractFunc func(*types.Func) *LockContractSpec
 
 // ApplyLockCall folds one call's effect into held: a direct
-// Lock/RLock/Unlock/RUnlock, or a call to a function whose contract
-// acquires or releases locks (names resolved in the callee's package).
-func ApplyLockCall(info *types.Info, call *ast.CallExpr, held Lockset, contract ContractFunc) {
-	if key, acquire, release, rlock := LockMethod(info, call); key != nil {
-		switch {
-		case acquire && rlock:
-			held[key] = ReadLocked
-		case acquire:
-			held[key] = WriteLocked
-		case release:
-			delete(held, key)
-		}
-		return
-	}
-	fn := Callee(info, call)
-	if fn == nil {
-		return
-	}
-	lc := contract(fn)
-	if lc == nil {
-		return
-	}
-	for _, name := range lc.Acquires {
-		if v := ResolveMutexSpec(fn.Pkg(), fn, name); v != nil {
-			held[v] = WriteLocked
-		}
-	}
-	for _, name := range lc.Releases {
-		if v := ResolveMutexSpec(fn.Pkg(), fn, name); v != nil {
-			delete(held, v)
-		}
+// Lock/RLock/Unlock/RUnlock. Other calls leave held as it is.
+func ApplyLockCall(info *types.Info, call *ast.CallExpr, held Lockset) {
+	key, acquire, release, rlock := LockMethod(info, call)
+	switch {
+	case key == nil:
+	case acquire && rlock:
+		held[key] = ReadLocked
+	case acquire:
+		held[key] = WriteLocked
+	case release:
+		delete(held, key)
 	}
 }
 
@@ -78,13 +58,13 @@ func ApplyLockCall(info *types.Info, call *ast.CallExpr, held Lockset, contract 
 // source order. Deferred and go statements are skipped: a deferred
 // unlock keeps its lock held to the function's end, which is what it
 // means, and a goroutine's locks are its own.
-func TransferLocks(info *types.Info, node ast.Node, held Lockset, contract ContractFunc) {
+func TransferLocks(info *types.Info, node ast.Node, held Lockset) {
 	WalkBlockNode(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			ApplyLockCall(info, n, held, contract)
+			ApplyLockCall(info, n, held)
 		}
 		return true
 	})
@@ -92,13 +72,13 @@ func TransferLocks(info *types.Info, node ast.Node, held Lockset, contract Contr
 
 // EntryLockset is the lockset a function body starts with: the mutexes
 // its own holds contract says every caller holds.
-func EntryLockset(pkg *types.Package, fn *types.Func, lc *LockContractSpec) Lockset {
+func EntryLockset(fn *types.Func, lc *LockContractSpec) Lockset {
 	entry := Lockset{}
 	if fn == nil || lc == nil {
 		return entry
 	}
 	for _, name := range lc.Holds {
-		if v := ResolveMutexSpec(pkg, fn, name); v != nil {
+		if v := ResolveMutexSpec(fn, name); v != nil {
 			entry[v] = WriteLocked
 		}
 	}

@@ -94,11 +94,19 @@ var catalogue = []mutant{
 		"\t\t\tfor k := i - 1; k >= 0; k-- {\n\t\t\t\tb.unreserveLocked(reqs[k])\n\t\t\t}\n",
 		""},
 	{"fence-not-checked", "internal/resbook/resbook.go",
-		"\tif len(b.pending) > 0 && b.pending[0].Start < fence {\n\t\treturn nil, fmt.Errorf(\"%w: reservation %s activates at %d, before %d\", ErrStale, b.pending[0].ID, b.pending[0].Start, fence)\n\t}\n",
+		"\tif len(b.pending) > 0 && b.pending[0].Start < fence {\n\t\treturn nil, fmt.Errorf(\"%w: %w: reservation %s activates at %d, before %d\", ErrStale, errFenced, b.pending[0].ID, b.pending[0].Start, fence)\n\t}\n",
 		""},
 	{"misfit-at-snapshot-version-stale", "internal/resbook/resbook.go",
 		"if v := b.version.Load(); v != snap.Version {",
 		"if v := b.version.Load(); v >= snap.Version {"},
+	// A fence refusal retried like any stale commit, and a server retry
+	// budget that runs one attempt too many.
+	{"fence-refusal-retried", "internal/resbook/resbook.go",
+		"if !errors.Is(err, ErrStale) || errors.Is(err, errFenced) {",
+		"if !errors.Is(err, ErrStale) {"},
+	{"retry-budget-off-by-one", "internal/server/handlers.go",
+		"s.writeScheduleResponse(w, bin, http.StatusOK, &resp)\n\t\t\treturn\n\t\t}\n\t\tif errors.Is(err, resbook.ErrStale) {\n\t\t\tretries++\n\t\t\ts.metrics.retries.Add(1)\n\t\t\tif retries > s.cfg.MaxRetries {",
+		"s.writeScheduleResponse(w, bin, http.StatusOK, &resp)\n\t\t\treturn\n\t\t}\n\t\tif errors.Is(err, resbook.ErrStale) {\n\t\t\tretries++\n\t\t\ts.metrics.retries.Add(1)\n\t\t\tif retries > s.cfg.MaxRetries+1 {"},
 
 	// refguard: a reference implementation on a production path.
 	{"allocate-calls-reference", "internal/cpa/cpa.go",

@@ -45,11 +45,13 @@ func earliestPendingScan(b *Book, after model.Time) (at model.Time, ok bool) {
 }
 
 // bookKinds are the books the index serves, persistent and flat (the
-// two backends share the ledger code). The kinds keep the shard counts
-// of the sharded book these cases were written against. NewSharded now
-// returns one tree whatever the count; the persistent kinds are built
-// through it, as the benchmark module builds its books. The flat
-// oracle has no sharded constructor, so both flat kinds are NewFlat
+// two backends share the ledger code). The shards=1 and shards=8 kinds
+// of each backend are the same book: NewSharded returns one tree
+// whatever the count, and the flat oracle has no sharded constructor.
+// The duplicates only keep the subtest names of the sharded book these
+// cases were written against; they collapse to "persistent" and "flat"
+// when NewSharded is deleted (ROADMAP item 1(c)). The persistent kinds
+// are built through NewSharded, as the benchmark module builds its
 // books.
 func bookKinds(t testing.TB, capacity int) map[string]*Book {
 	t.Helper()

@@ -460,8 +460,12 @@ func (b *Book) Commit(snap Snapshot, reqs []Request) ([]Reservation, error) {
 	return b.commit(snap, reqs, b.origin)
 }
 
-// commit is Commit with a fence: it also fails with ErrStale, booking
-// nothing, when a Pending reservation starts before fence. The check
+// errFenced marks the ErrStale of a commit refused by its fence.
+var errFenced = errors.New("fenced")
+
+// commit is Commit with a fence: it also fails with ErrStale (and
+// errFenced), booking nothing, when a Pending reservation starts
+// before fence. The check
 // runs under the write lock before any request is applied, so it sees
 // every Pending row committed since the caller read its bound. No
 // Pending row starts before the origin, so the origin is no fence.
@@ -474,7 +478,7 @@ func (b *Book) commit(snap Snapshot, reqs []Request, fence model.Time) ([]Reserv
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.pending) > 0 && b.pending[0].Start < fence {
-		return nil, fmt.Errorf("%w: reservation %s activates at %d, before %d", ErrStale, b.pending[0].ID, b.pending[0].Start, fence)
+		return nil, fmt.Errorf("%w: %w: reservation %s activates at %d, before %d", ErrStale, errFenced, b.pending[0].ID, b.pending[0].Start, fence)
 	}
 	for i, req := range reqs {
 		if err := b.reserveLocked(req); err != nil {
@@ -599,7 +603,9 @@ func (b *Book) Transact(ctx context.Context, maxAttempts int, fn func(Snapshot) 
 // activation. Each commit also fails with ErrStale when a Pending
 // reservation starts before fence, checked under the write lock, so a
 // Pending row committed by another writer after the caller read its
-// bound cannot be overrun.
+// bound cannot be overrun. A fence refusal ends the loop at once: a
+// fresh snapshot would meet the same Pending row, so it is returned
+// as ErrStale without another attempt.
 func (b *Book) TransactBefore(ctx context.Context, maxAttempts int, fence model.Time, fn func(Snapshot) ([]Request, error)) ([]Reservation, int, error) {
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -620,7 +626,7 @@ func (b *Book) TransactBefore(ctx context.Context, maxAttempts int, fence model.
 		if err == nil {
 			return out, retries, nil
 		}
-		if !errors.Is(err, ErrStale) {
+		if !errors.Is(err, ErrStale) || errors.Is(err, errFenced) {
 			return nil, retries, err
 		}
 		retries++

@@ -2,8 +2,8 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,17 +106,19 @@ func TestCommitRetryExhaustion(t *testing.T) {
 	if err := json.Unmarshal(raw, &apiErr); err != nil {
 		t.Fatalf("decoding error body %q: %v", raw, err)
 	}
-	if !strings.Contains(apiErr.Error, "version-conflict retries") {
-		t.Errorf("error %q does not mention retry exhaustion", apiErr.Error)
+	if want := fmt.Sprintf("gave up after %d version-conflict retries", maxRetries); apiErr.Error != want {
+		t.Errorf("error %q, want %q", apiErr.Error, want)
 	}
 
 	// Every version bump came from the hook's reservations, taken
-	// before the initial attempt and each of maxRetries recomputes.
+	// before the initial attempt and each of maxRetries recomputes. On
+	// this book each takeCapacity call books exactly one full-width
+	// row, so the rows count the commit attempts.
 	taken := hooked()
-	if len(taken) < maxRetries+1 {
-		t.Errorf("hook booked %d reservations, want at least %d", len(taken), maxRetries+1)
+	if len(taken) != maxRetries+1 {
+		t.Errorf("hook booked %d reservations, want exactly %d (one per commit attempt)", len(taken), maxRetries+1)
 	}
-	if got, want := book.Version(), versionBefore+uint64(len(taken)); got != want {
+	if got, want := book.Version(), versionBefore+uint64(maxRetries+1); got != want {
 		t.Errorf("version = %d, want %d", got, want)
 	}
 	for _, r := range book.List() {
