@@ -50,7 +50,7 @@ vet:
 # lint runs the domain-aware reschedvet analyzers (see
 # internal/analysis) over the whole module with the cross-package
 # facts dump enabled, so CI logs show which facts (may-block, lock
-# contracts, fire-and-forget, hot) each conclusion rests on.
+# contracts, fire-and-forget) each conclusion rests on.
 # Any diagnostic fails the target — and therefore ci — with a
 # file:line message.
 lint:
@@ -65,7 +65,7 @@ test:
 # (its fixture harness runs real type-checking and the analyzers
 # themselves guard the locking discipline, so they get the same
 # scrutiny) — and the profile package, whose persistent handles have
-# one word, the edit token, that Clone writes under a shard's read
+# one word, the edit token, that Clone writes under the book's read
 # lock. race-all is the full-tree sweep for slower, occasional use.
 race:
 	$(GO) test -race ./internal/profile/... ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/analysis/...

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"os"
 
-	"resched/internal/batchsim"
 	"resched/internal/model"
 	"resched/internal/tables"
 	"resched/internal/workload"
@@ -33,7 +32,6 @@ func run() error {
 	swf := flag.String("swf", "", "workload log in SWF format")
 	arch := flag.String("arch", "SDSC_DS", "archetype to synthesize (ignored with -swf)")
 	days := flag.Int("days", 45, "synthetic log length in days")
-	queued := flag.Bool("queued", false, "synthesize through the EASY batch simulator (realistic waits)")
 	phi := flag.Float64("phi", 0.2, "tagging fraction for the reservation-density section")
 	seed := flag.Int64("seed", 1, "random seed")
 	width := flag.Int("width", 60, "timeline width in columns")
@@ -50,12 +48,6 @@ func run() error {
 		}
 		defer f.Close()
 		lg, err = workload.ParseSWF(f, *swf)
-	case *queued:
-		a, err2 := workload.ByName(*arch)
-		if err2 != nil {
-			return err2
-		}
-		lg, err = workload.SynthesizeQueued(a, *days, batchsim.EASY, rng)
 	default:
 		a, err2 := workload.ByName(*arch)
 		if err2 != nil {

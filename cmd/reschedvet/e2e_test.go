@@ -131,7 +131,7 @@ func TestE2EListExitsClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, out)
 	}
-	for _, name := range []string{"refguard", "ctxflow", "modeexhaustive", "lockhold", "errdrop", "wgleak", "guardedby", "atomicmix", "hotpath", "chanflow"} {
+	for _, name := range []string{"refguard", "ctxflow", "modeexhaustive", "lockhold", "errdrop", "wgleak", "guardedby", "atomicmix", "chanflow"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}

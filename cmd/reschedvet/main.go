@@ -1,6 +1,6 @@
 // Command reschedvet is the repo's domain-aware multichecker: it runs
 // the internal/analysis analyzers — refguard, ctxflow, modeexhaustive,
-// errdrop, wgleak and hotpath on the serving and scheduling code,
+// errdrop and wgleak on the serving and scheduling code,
 // lockhold and guardedby on its locks, atomicmix on its atomics and
 // chanflow on its select loops — over
 // the given packages (default ./...) and exits non-zero if any finding
@@ -30,7 +30,6 @@ import (
 	"resched/internal/analysis/ctxflow"
 	"resched/internal/analysis/errdrop"
 	"resched/internal/analysis/guardedby"
-	"resched/internal/analysis/hotpath"
 	"resched/internal/analysis/lockhold"
 	"resched/internal/analysis/modeexhaustive"
 	"resched/internal/analysis/refguard"
@@ -43,7 +42,6 @@ var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	errdrop.Analyzer,
 	guardedby.Analyzer,
-	hotpath.Analyzer,
 	lockhold.Analyzer,
 	modeexhaustive.Analyzer,
 	refguard.Analyzer,

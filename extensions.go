@@ -11,8 +11,6 @@ package resched
 //     adapted to advance reservations,
 //   - multi-site platforms with per-site reservation schedules, speeds,
 //     staging delays, and both turnaround and deadline scheduling,
-//   - a discrete-event batch-scheduler simulator (FCFS and EASY
-//     backfilling) for realistic queued workloads,
 //   - booking against a reservation table that changes between
 //     requests (naive / rebook / replan strategies),
 //   - the pessimistic-runtime-estimate study Section 3.1 defers,
@@ -23,7 +21,6 @@ import (
 	"io"
 	"math/rand"
 
-	"resched/internal/batchsim"
 	"resched/internal/core"
 	"resched/internal/dag"
 	"resched/internal/dynamic"
@@ -33,7 +30,6 @@ import (
 	"resched/internal/pessimism"
 	"resched/internal/probe"
 	"resched/internal/schedio"
-	"resched/internal/workload"
 )
 
 // Blind scheduling (package probe).
@@ -111,36 +107,6 @@ func MultiVerify(g *Graph, env MultiEnv, s *MultiSchedule, opt MultiOptions) err
 // columns; <= 0 selects the default).
 func RenderGantt(w io.Writer, g *Graph, env Env, s *Schedule, width int) error {
 	return gantt.Render(w, g, env, s, width)
-}
-
-// Batch-scheduler simulation (package batchsim).
-type (
-	// BatchPolicy selects FCFS or EASY backfilling.
-	BatchPolicy = batchsim.Policy
-	// BatchConfig describes the simulated machine.
-	BatchConfig = batchsim.Config
-	// BatchSimulator is a discrete-event space-sharing batch scheduler
-	// with walltime enforcement and advance reservations.
-	BatchSimulator = batchsim.Simulator
-	// BatchJob and BatchCompleted are the simulator's job records.
-	BatchJob       = batchsim.Job
-	BatchCompleted = batchsim.Completed
-)
-
-// Batch scheduling policies.
-const (
-	BatchFCFS = batchsim.FCFS
-	BatchEASY = batchsim.EASY
-)
-
-// NewBatchSimulator constructs a batch-scheduler simulator.
-func NewBatchSimulator(cfg BatchConfig) (*BatchSimulator, error) { return batchsim.New(cfg) }
-
-// SynthesizeQueuedLog generates a batch log whose start times come
-// from the discrete-event batch simulator (realistic queueing delays)
-// instead of idealized FCFS packing.
-func SynthesizeQueuedLog(a Archetype, days int, policy BatchPolicy, rng *rand.Rand) (*Log, error) {
-	return workload.SynthesizeQueued(a, days, policy, rng)
 }
 
 // Dynamic reservation schedules (package dynamic).

@@ -9,39 +9,6 @@ import (
 	"resched"
 )
 
-func TestBatchSimulatorFacade(t *testing.T) {
-	sim, err := resched.NewBatchSimulator(resched.BatchConfig{Procs: 8, Policy: resched.BatchEASY})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.AddReservation(100, 200, 8); err != nil {
-		t.Fatal(err)
-	}
-	done, err := sim.Run([]resched.BatchJob{
-		{ID: 1, Submit: 0, Procs: 4, Request: 50, Actual: 50},
-		{ID: 2, Submit: 0, Procs: 8, Request: 300, Actual: 250},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Validate(done); err != nil {
-		t.Fatal(err)
-	}
-	if done[1].Start < 200 {
-		t.Fatalf("full-machine job ran into the reservation: %+v", done[1])
-	}
-}
-
-func TestSynthesizeQueuedLogFacade(t *testing.T) {
-	lg, err := resched.SynthesizeQueuedLog(resched.SDSCDS, 10, resched.BatchEASY, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDynamicRunFacade(t *testing.T) {
 	g := exampleGraph(t)
 	env := resched.Env{P: 16, Now: 0, Avail: resched.NewProfile(16, 0), Q: 16}

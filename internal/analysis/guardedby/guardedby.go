@@ -17,11 +17,10 @@
 // analysis.TransferLocks, shared with lockhold; the join here
 // intersects.
 //
-// Accesses to fields annotated //reschedvet:guardedby are not checked:
-// those annotations document which mutex guards a field, and -race
-// caught every unguarded access the mutant catalogue seeded, while a
-// *Locked helper called after the unlock was caught by this check alone
-// (DESIGN.md §20).
+// Field accesses are not checked: a plain comment on each field names
+// the mutex that guards it, and -race caught every unguarded access the
+// mutant catalogue seeded, while a *Locked helper called after the
+// unlock was caught by this check alone (DESIGN.md §20).
 //
 // Calls inside function literals are not checked: a closure body runs
 // on its own activation, possibly on another goroutine, and the CFG

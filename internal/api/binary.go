@@ -43,8 +43,6 @@ const (
 // AppendBinary appends the binary encoding of r to dst and returns the
 // extended slice. The dst idiom (instead of MarshalBinary) lets the
 // server encode into pooled buffers without a per-response allocation.
-//
-//reschedvet:hotpath
 func (r *ScheduleRequest) AppendBinary(dst []byte) []byte {
 	dst = append(dst, binMagic0, binMagic1, binVersion, kindScheduleRequest)
 	dst = appendBlob(dst, r.DAG)
@@ -74,8 +72,6 @@ func (r *ScheduleRequest) UnmarshalBinary(data []byte) error {
 
 // AppendBinary appends the binary encoding of r to dst and returns the
 // extended slice.
-//
-//reschedvet:hotpath
 func (r *ScheduleResponse) AppendBinary(dst []byte) []byte {
 	dst = append(dst, binMagic0, binMagic1, binVersion, kindScheduleResponse)
 	dst = appendString(dst, r.Algorithm)
@@ -149,8 +145,6 @@ func (r *ScheduleResponse) UnmarshalBinary(data []byte) error {
 	return d.finish()
 }
 
-//
-//reschedvet:hotpath
 func appendBool(dst []byte, b bool) []byte {
 	if b {
 		return append(dst, 1)
@@ -158,8 +152,6 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-//
-//reschedvet:hotpath
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -167,8 +159,6 @@ func appendString(dst []byte, s string) []byte {
 
 // appendBlob writes an optional byte blob: 0 for nil, length+1
 // otherwise.
-//
-//reschedvet:hotpath
 func appendBlob(dst []byte, b []byte) []byte {
 	if b == nil {
 		return binary.AppendUvarint(dst, 0)

@@ -90,6 +90,21 @@ func TestBinaryAppendsToPrefix(t *testing.T) {
 	}
 }
 
+// TestBinaryEncodersAllocationFree pins both encoders at zero
+// allocations into a buffer with room: the server encodes every binary
+// response into a pooled buffer, so an allocation here is paid per
+// request.
+func TestBinaryEncodersAllocationFree(t *testing.T) {
+	req, resp := sampleRequest(), sampleResponse()
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(50, func() { buf = req.AppendBinary(buf[:0]) }); n != 0 {
+		t.Errorf("ScheduleRequest.AppendBinary allocates %.0f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { buf = resp.AppendBinary(buf[:0]) }); n != 0 {
+		t.Errorf("ScheduleResponse.AppendBinary allocates %.0f times per call, want 0", n)
+	}
+}
+
 func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	resp := sampleResponse()
 	good := resp.AppendBinary(nil)

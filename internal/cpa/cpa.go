@@ -151,8 +151,6 @@ func (st *Run) Extend(p int) bool {
 // refine is the allocation phase's loop: grant one processor to the
 // best critical-path candidate until T_CP no longer exceeds T_A or no
 // candidate can grow.
-//
-//reschedvet:hotpath
 func (st *Run) refine() {
 	p := float64(st.p)
 	for {
@@ -307,8 +305,6 @@ func newRun(g *dag.Graph, topo []int, p int, rule StopRule) *Run {
 }
 
 // mark flags a task for level recomputation, once.
-//
-//reschedvet:hotpath
 func (st *Run) mark(t int32) {
 	if st.inDirty[t] {
 		return
@@ -323,8 +319,6 @@ func (st *Run) mark(t int32) {
 // criticalPath returns T_CP, the largest bottom level. It must stay a
 // leaf loop: it runs once per refinement iteration and the inliner
 // keeps it inside refine's loop.
-//
-//reschedvet:hotpath
 func (st *Run) criticalPath() float64 {
 	var cp float64
 	for _, v := range st.bl {
@@ -339,8 +333,6 @@ func (st *Run) criticalPath() float64 {
 // per-processor gain whose allocation can still grow within its cap,
 // or -1. Gains are read from the cache, never recomputed here. Like
 // criticalPath it must stay a leaf loop so it inlines into refine.
-//
-//reschedvet:hotpath
 func (st *Run) bestCandidate(cp float64) int {
 	best := -1
 	var bestGain float64
@@ -358,8 +350,6 @@ func (st *Run) bestCandidate(cp float64) int {
 // grow grants task t one more processor and repairs every derived
 // quantity: its execution time, the area term, its cached gain, and
 // the levels of the tasks its change can reach.
-//
-//reschedvet:hotpath
 func (st *Run) grow(t int) {
 	task := st.g.Task(t)
 	old := st.exec[t]
@@ -387,8 +377,6 @@ func (st *Run) grow(t int) {
 // the refinement loop, so a non-maximal successor that shrinks further
 // cannot move the max — which keeps the repair frontier to the argmax
 // chains instead of the full ancestor cone.
-//
-//reschedvet:hotpath
 func (st *Run) repairBL(t int) {
 	st.mark(int32(t))
 	bl, maxSucc := st.bl, st.maxSucc
@@ -430,8 +418,6 @@ func (st *Run) repairBL(t int) {
 // maximum incoming contribution, so the attainment check needs no
 // separate cache: a successor is marked only when the changed task's
 // old contribution equals the successor's tl.
-//
-//reschedvet:hotpath
 func (st *Run) drainTL(from int32) {
 	tl, exec := st.tl, st.exec
 	for d := from; st.pending > 0; d++ {

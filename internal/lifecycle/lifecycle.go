@@ -195,11 +195,11 @@ type Engine struct {
 	// Engine state under mu: the clock, the job table, the FCFS queue
 	// (Queued job IDs in arrival order), the event heap, and the job ID
 	// counter.
-	now    model.Time      //reschedvet:guardedby mu
-	jobs   map[string]*Job //reschedvet:guardedby mu
-	queue  []string        //reschedvet:guardedby mu
-	events eventHeap       //reschedvet:guardedby mu
-	nextID uint64          //reschedvet:guardedby mu
+	now    model.Time      // guarded by mu
+	jobs   map[string]*Job // guarded by mu
+	queue  []string        // guarded by mu
+	events eventHeap       // guarded by mu
+	nextID uint64          // guarded by mu
 
 	stats stats
 
@@ -209,11 +209,11 @@ type Engine struct {
 	// ride under mu too; started/closed stay atomic because Submit
 	// checks them on the handler fast path without the lock.
 	wake    chan struct{}
-	cancel  context.CancelFunc //reschedvet:guardedby mu
+	cancel  context.CancelFunc // guarded by mu
 	wg      sync.WaitGroup
 	started atomic.Bool
 	closed  atomic.Bool
-	epoch   time.Time //reschedvet:guardedby mu
+	epoch   time.Time // guarded by mu
 }
 
 // New returns an engine over the given book. The engine clock starts

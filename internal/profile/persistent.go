@@ -447,8 +447,6 @@ func (t *PersistentProfile) rangeAdd(n *pnode, lb, ub, lo, hi model.Time, d int3
 
 // floor returns the key and value of the segment containing x — the
 // greatest breakpoint <= x. ok is false when x precedes the origin.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) floor(x model.Time) (key model.Time, val int, ok bool) {
 	n, acc := t.root, int32(0)
 	for n != nil {
@@ -466,8 +464,6 @@ func (t *PersistentProfile) floor(x model.Time) (key model.Time, val int, ok boo
 
 // succKey returns the smallest breakpoint > x, or model.Infinity — the
 // exclusive end of the segment whose key is the floor of x.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) succKey(x model.Time) model.Time {
 	n := t.root
 	s := model.Infinity
@@ -484,8 +480,6 @@ func (t *PersistentProfile) succKey(x model.Time) model.Time {
 
 // rangeMin returns the minimum free count over segments with key in
 // [lo, hi), or freeCeil when none exist.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) rangeMin(n *pnode, acc int32, lb, ub, lo, hi model.Time) int {
 	if n == nil || ub < lo || lb >= hi {
 		return freeCeil
@@ -509,8 +503,6 @@ func (t *PersistentProfile) rangeMin(n *pnode, acc int32, lb, ub, lo, hi model.T
 
 // firstBelow returns the leftmost segment with key >= from and fewer
 // than procs free, pruning subtrees whose min already satisfies procs.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) firstBelow(n *pnode, acc int32, procs int, from model.Time) (model.Time, bool) {
 	if n == nil {
 		return 0, false
@@ -533,8 +525,6 @@ func (t *PersistentProfile) firstBelow(n *pnode, acc int32, procs int, from mode
 // firstAbove returns the leftmost segment with key in [from, to) and
 // more than limit free; the value returned is that segment's free
 // count.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) firstAbove(n *pnode, acc int32, limit int, from, to model.Time) (int, bool) {
 	if n == nil {
 		return 0, false
@@ -559,8 +549,6 @@ func (t *PersistentProfile) firstAbove(n *pnode, acc int32, limit int, from, to 
 
 // lastFeasibleUpTo returns the rightmost segment with key <= upto and
 // at least procs free — the top of the latest feasible run.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) lastFeasibleUpTo(n *pnode, acc int32, procs int, upto model.Time) (model.Time, bool) {
 	if n == nil {
 		return 0, false
@@ -583,8 +571,6 @@ func (t *PersistentProfile) lastFeasibleUpTo(n *pnode, acc int32, procs int, upt
 // lastBlockingUpTo returns the rightmost segment with key <= upto and
 // fewer than procs free — the blocking segment bounding a feasible run
 // from below.
-//
-//reschedvet:hotpath
 func (t *PersistentProfile) lastBlockingUpTo(n *pnode, acc int32, procs int, upto model.Time) (model.Time, bool) {
 	if n == nil {
 		return 0, false

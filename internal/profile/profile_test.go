@@ -382,23 +382,42 @@ func TestAvgFreePrecision(t *testing.T) {
 	}
 }
 
-// TestLatestFitQueriesAllocationFree pins the deadline schedulers'
-// probes at zero allocations on a warm flat profile: LatestFitMax's
-// staircase and LatestFits' run ends live in the profile's scratch,
-// and LatestFits writes into the caller's buffers.
+// TestLatestFitQueriesAllocationFree pins the schedulers' probes at
+// zero allocations on a warm profile of either backend: LatestFitMax's
+// staircase and LatestFits' run ends live in the flat profile's
+// scratch, the batch queries write into the caller's buffers, and the
+// persistent tree's read descents (floor, succKey, rangeMin,
+// firstBelow, lastFeasibleUpTo, lastBlockingUpTo, and firstAbove under
+// Unreserve's checks) allocate nothing.
 func TestLatestFitQueriesAllocationFree(t *testing.T) {
 	p := fuzzedProfile(rand.New(rand.NewSource(1)), 128, 60)
+	hold := p.EarliestFit(1, model.Hour, 13*model.Day)
+	mustReserve(t, p, hold, hold+model.Hour, 1)
+	tree := NewPersistentFromProfile(p)
 	reqs := amdahlLadder(nil, model.Duration(6*model.Hour), 0.1, 128)
-	out, ok := p.LatestFits(reqs, model.Day, 12*model.Day, nil, nil)
-	p.LatestFitMax(reqs, model.Day, 12*model.Day)
-	if n := testing.AllocsPerRun(50, func() {
-		p.LatestFitMax(reqs, model.Day, 12*model.Day)
-	}); n != 0 {
-		t.Errorf("LatestFitMax allocates %.0f times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		out, ok = p.LatestFits(reqs, model.Day, 12*model.Day, out, ok)
-	}); n != 0 {
-		t.Errorf("LatestFits allocates %.0f times per call, want 0", n)
+	for name, iv := range map[string]Intervals{"flat": p, "persistent": tree} {
+		out, ok := iv.LatestFits(reqs, model.Day, 12*model.Day, nil, nil)
+		starts := iv.EarliestFits(reqs, model.Day, nil)
+		queries := map[string]func(){
+			"EarliestFit":  func() { iv.EarliestFit(64, 2*model.Hour, model.Day) },
+			"LatestFit":    func() { iv.LatestFit(64, 2*model.Hour, model.Day, 12*model.Day) },
+			"MinFree":      func() { iv.MinFree(model.Day, 12*model.Day) },
+			"EarliestFits": func() { starts = iv.EarliestFits(reqs, model.Day, starts) },
+			"LatestFits":   func() { out, ok = iv.LatestFits(reqs, model.Day, 12*model.Day, out, ok) },
+			"LatestFitMax": func() { iv.LatestFitMax(reqs, model.Day, 12*model.Day) },
+		}
+		if name == "persistent" {
+			queries["unreserveChecks"] = func() {
+				if err := tree.unreserveChecks(hold, hold+model.Hour, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for query, f := range queries {
+			f()
+			if n := testing.AllocsPerRun(50, f); n != 0 {
+				t.Errorf("%s: %s allocates %.0f times per call, want 0", name, query, n)
+			}
+		}
 	}
 }

@@ -142,9 +142,9 @@ type Book struct {
 	origin   model.Time
 
 	mu    sync.RWMutex
-	pprof *profile.PersistentProfile //reschedvet:guardedby mu
-	prof  *profile.Profile           //reschedvet:guardedby mu
-	res   map[string]*Reservation    //reschedvet:guardedby mu
+	pprof *profile.PersistentProfile // guarded by mu
+	prof  *profile.Profile           // guarded by mu
+	res   map[string]*Reservation    // guarded by mu
 
 	// pending indexes the Pending rows: a binary min-heap of ledger rows
 	// keyed by Start, so the backfill guardrail's "earliest Pending
@@ -156,10 +156,10 @@ type Book struct {
 	// Pending or the heap is empty. Rows that left Pending deeper down
 	// wait their turn; each costs its pointer until then, and each row is
 	// pushed and popped at most once.
-	pending []*Reservation //reschedvet:guardedby mu
+	pending []*Reservation // guarded by mu
 
 	version atomic.Uint64
-	nextID  uint64 //reschedvet:guardedby mu
+	nextID  uint64 // guarded by mu
 
 	// scratch recycles the flat profiles Transact snapshots into, one
 	// per call in flight, so an attempt against a small schedule

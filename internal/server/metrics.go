@@ -33,8 +33,8 @@ type metrics struct {
 
 	mu sync.Mutex
 	// lat is the latency ring; n counts total latencies observed.
-	lat [latWindow]time.Duration //reschedvet:guardedby mu
-	n   uint64                   //reschedvet:guardedby mu
+	lat [latWindow]time.Duration // guarded by mu
+	n   uint64                   // guarded by mu
 }
 
 func (m *metrics) observe(d time.Duration) {

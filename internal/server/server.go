@@ -73,8 +73,8 @@ type Server struct {
 
 	// encPool recycles response staging buffers with their bound JSON
 	// encoders; binPool recycles the byte slices the binary codec
-	// appends into. Both follow the borrow discipline poolescape
-	// enforces: get, defer put, never escape.
+	// appends into. Both follow one borrow discipline: get, defer put,
+	// never escape.
 	encPool sync.Pool
 	binPool sync.Pool
 

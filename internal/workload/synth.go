@@ -119,7 +119,7 @@ func Synthesize(a Archetype, days int, rng *rand.Rand) (*Log, error) {
 		if t >= horizon {
 			break
 		}
-		cycle := 1 + 0.5*sinDaily(t)
+		cycle := 1 + 0.5*math.Sin(2*math.Pi*float64(t%model.Day)/float64(model.Day))
 		if rng.Float64() > cycle/1.5 {
 			continue // thinned out
 		}

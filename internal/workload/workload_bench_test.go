@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"resched/internal/batchsim"
 	"resched/internal/model"
 )
 
@@ -21,13 +20,6 @@ func BenchmarkSynthesize(b *testing.B) {
 			}
 		})
 	}
-	b.Run("SDSC_DS/queued-EASY", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SynthesizeQueued(SDSCDS, 14, batchsim.EASY, rand.New(rand.NewSource(1))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkExtract measures reservation-schedule extraction per decay
