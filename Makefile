@@ -66,9 +66,11 @@ test:
 # themselves guard the locking discipline, so they get the same
 # scrutiny) — and the profile package, whose persistent handles have
 # one word, the edit token, that Clone writes under the book's read
-# lock. race-all is the full-tree sweep for slower, occasional use.
+# lock — and the experiment drivers of internal/sim, whose scenario
+# callbacks run on a worker pool and must each write only their own
+# row. race-all is the full-tree sweep for slower, occasional use.
 race:
-	$(GO) test -race ./internal/profile/... ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/analysis/...
+	$(GO) test -race ./internal/profile/... ./internal/resbook/... ./internal/server/... ./internal/lifecycle/... ./internal/analysis/... ./internal/sim/...
 
 # replay-smoke drives a short canned trace through the online
 # lifecycle engine under the race detector: a capacity-constrained
@@ -152,6 +154,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTreeProfileVsFlat$$' -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -run='^$$' -fuzz='^FuzzScheduleParseRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/api
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/dagio
+	$(GO) test -run='^$$' -fuzz='^FuzzWrite$$' -fuzztime=$(FUZZTIME) ./internal/dagio
 
 # vuln is advisory: it reports known-vulnerable dependencies when
 # govulncheck is installed but never fails the build (and this module

@@ -260,6 +260,15 @@ var catalogue = []mutant{
 		"\t\tfor _, u := range st.bucketBuf[off : off+c] {\n\t\t\tst.inDirty[u] = false\n\t\t\tvar best float64",
 		"\t\tdone := make(map[int32]bool, c)\n\t\tfor _, u := range st.bucketBuf[off : off+c] {\n\t\t\tif done[u] {\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\tdone[u] = true\n\t\t\tst.inDirty[u] = false\n\t\t\tvar best float64"},
 
+	// The dagio scanner (DESIGN §14): a seq with a fraction taken by
+	// truncation, and an unknown task field skipped instead of refused.
+	{"dagio-truncates-fractional-seq", "internal/dagio/dagio.go",
+		"\tif integer {\n\t\tif n, err := strconv.ParseInt(string(raw), 10, 64); err == nil {",
+		"\tif f, err := strconv.ParseFloat(string(raw), 64); err == nil {\n\t\t*v = int64(f)\n\t\treturn nil\n\t}\n\tif integer {\n\t\tif n, err := strconv.ParseInt(string(raw), 10, 64); err == nil {"},
+	{"dagio-skips-unknown-field", "internal/dagio/dagio.go",
+		"\t\t\terr = p.nameSlot(t)\n\t\tdefault:\n\t\t\terr = fmt.Errorf(\"dagio: unknown field %q\", k)",
+		"\t\t\terr = p.nameSlot(t)\n\t\tdefault:\n\t\t\terr = p.skip(3)"},
+
 	// chanflow: the pilot mutants (a close racing Submit's send, a wake
 	// channel never made), a worker semaphore with no buffer, a double
 	// close and a select on a channel that is never made.

@@ -318,7 +318,12 @@ func (st *Run) mark(t int32) {
 
 // criticalPath returns T_CP, the largest bottom level. It must stay a
 // leaf loop: it runs once per refinement iteration and the inliner
-// keeps it inside refine's loop.
+// keeps it inside refine's loop. It keeps a compare-and-assign: the
+// running maximum rarely changes over a full scan, so the branch
+// predicts well, while the builtin max (used in the level repairs,
+// whose scans are a few successors long) chains a branch-free
+// NaN-and-zero-safe sequence through every element: 25-task
+// allocations ran ≈ 25 % slower with it on a 2-vCPU x86-64 host.
 func (st *Run) criticalPath() float64 {
 	var cp float64
 	for _, v := range st.bl {
@@ -376,7 +381,9 @@ func (st *Run) grow(t int) {
 // its cached successor maximum — execution times only shrink during
 // the refinement loop, so a non-maximal successor that shrinks further
 // cannot move the max — which keeps the repair frontier to the argmax
-// chains instead of the full ancestor cone.
+// chains instead of the full ancestor cone. Levels are finite and
+// non-negative, so the builtin max here and in drainTL returns the
+// float a compare-and-assign would, without a data-dependent branch.
 func (st *Run) repairBL(t int) {
 	st.mark(int32(t))
 	bl, maxSucc := st.bl, st.maxSucc
@@ -392,9 +399,7 @@ func (st *Run) repairBL(t int) {
 			st.inDirty[u] = false
 			var best float64
 			for _, s := range st.succ[st.succOff[u]:st.succOff[u+1]] {
-				if bl[s] > best {
-					best = bl[s]
-				}
+				best = max(best, bl[s])
 			}
 			maxSucc[u] = best
 			nb := st.exec[u] + best
@@ -432,9 +437,7 @@ func (st *Run) drainTL(from int32) {
 			st.inDirty[u] = false
 			var nt float64
 			for _, p := range st.pred[st.predOff[u]:st.predOff[u+1]] {
-				if v := tl[p] + exec[p]; v > nt {
-					nt = v
-				}
+				nt = max(nt, tl[p]+exec[p])
 			}
 			if nt == tl[u] {
 				continue

@@ -59,6 +59,12 @@ type Graph struct {
 // previous capacity inside a block).
 const arenaBlock = 512
 
+// firstBlockPerTask sizes a graph's first arena block: this many ints
+// per task, up to arenaBlock. The layered daggen graphs of up to 25
+// tasks need at most 12 per task, so a small request DAG fits one
+// block a fraction of arenaBlock's size.
+const firstBlockPerTask = 16
+
 // carve returns an empty int slice with capacity c backed by the edge
 // arena, starting a fresh block when the current one cannot fit c.
 // The full-slice expression caps the result so appends beyond c can
@@ -66,10 +72,10 @@ const arenaBlock = 512
 func (g *Graph) carve(c int) []int {
 	if cap(g.arena)-len(g.arena) < c {
 		size := arenaBlock
-		if c > size {
-			size = c
+		if g.arena == nil {
+			size = min(size, firstBlockPerTask*len(g.tasks))
 		}
-		g.arena = make([]int, 0, size)
+		g.arena = make([]int, 0, max(size, c))
 	}
 	off := len(g.arena)
 	out := g.arena[off : off : off+c]

@@ -67,6 +67,10 @@ func TestReadErrors(t *testing.T) {
 		`{"tasks": [{"seq": 1, "alpha": 0}], "edges": [[0, 0]]}`,
 		`{"tasks": [], "edges": []}`,
 		`{"tasks": [{"seq": 1, "alpha": 0, "bogus": 1}], "edges": []}`,
+		`{"tasks": [{"seq": 1.5, "alpha": 0}], "edges": []}`,
+		`{"tasks": [{"seq": 1e3, "alpha": 0}], "edges": []}`,
+		`{"tasks": [{"seq": 3600.0, "alpha": 0}], "edges": []}`,
+		`{"tasks": [{"seq": 1, "alpha": 0}, {"seq": 1, "alpha": 0}], "edges": [[0, 1.0]]}`,
 	}
 	for i, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

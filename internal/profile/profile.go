@@ -12,6 +12,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"resched/internal/model"
@@ -194,21 +195,20 @@ func (p *Profile) AvgFree(start, end model.Time) float64 {
 	return acc / float64(end-start)
 }
 
-// ensureBreak inserts a breakpoint at time t (>= origin) and returns
-// the index of the segment starting at t. If a breakpoint already
-// exists at t, it is reused.
-func (p *Profile) ensureBreak(t model.Time) int {
-	i := p.segAt(t)
-	if p.times[i] == t {
+// ensureBreak inserts a breakpoint at time t (>= times[lo]) and
+// returns the index of the segment starting at t. If a breakpoint
+// already exists at t, it is reused. The search covers times[lo:]
+// only: Reserve and Unreserve pass the start's index when they look up
+// the end, which lies at or after it.
+func (p *Profile) ensureBreak(t model.Time, lo int) int {
+	k, found := slices.BinarySearch(p.times[lo:], t)
+	i := lo + k
+	if found {
 		return i
 	}
-	p.times = append(p.times, 0)
-	p.free = append(p.free, 0)
-	copy(p.times[i+2:], p.times[i+1:])
-	copy(p.free[i+2:], p.free[i+1:])
-	p.times[i+1] = t
-	p.free[i+1] = p.free[i]
-	return i + 1
+	p.times = slices.Insert(p.times, i, t)
+	p.free = slices.Insert(p.free, i, p.free[i-1])
+	return i
 }
 
 // coalesceBoundary merges segment k into segment k-1 when they have
@@ -279,8 +279,8 @@ func (p *Profile) Reserve(start, end model.Time, procs int) error {
 	if err := p.reserveChecks(start, end, procs); err != nil {
 		return err
 	}
-	i := p.ensureBreak(start)
-	j := p.ensureBreak(end)
+	i := p.ensureBreak(start, 0)
+	j := p.ensureBreak(end, i)
 	for k := i; k < j; k++ {
 		p.free[k] -= procs
 	}
@@ -300,8 +300,8 @@ func (p *Profile) Unreserve(start, end model.Time, procs int) error {
 	if err := p.unreserveChecks(start, end, procs); err != nil {
 		return err
 	}
-	i := p.ensureBreak(start)
-	j := p.ensureBreak(end)
+	i := p.ensureBreak(start, 0)
+	j := p.ensureBreak(end, i)
 	for k := i; k < j; k++ {
 		p.free[k] += procs
 	}

@@ -27,13 +27,30 @@ func (p *Profile) coalesce() {
 	p.free = p.free[:w]
 }
 
+// referenceBreak is the pre-optimization ensureBreak: it looks t up
+// over the whole breakpoint array, where ensureBreak searches only from
+// a lower index, and inserts a breakpoint at t unless one exists.
+func (p *Profile) referenceBreak(t model.Time) int {
+	i := p.segAt(t)
+	if p.times[i] == t {
+		return i
+	}
+	p.times = append(p.times, 0)
+	p.free = append(p.free, 0)
+	copy(p.times[i+2:], p.times[i+1:])
+	copy(p.free[i+2:], p.free[i+1:])
+	p.times[i+1] = t
+	p.free[i+1] = p.free[i]
+	return i + 1
+}
+
 // referenceReserve is the pre-optimization Reserve, kept verbatim.
 func (p *Profile) referenceReserve(start, end model.Time, procs int) error {
 	if err := p.reserveChecks(start, end, procs); err != nil {
 		return err
 	}
-	i := p.ensureBreak(start)
-	j := p.ensureBreak(end)
+	i := p.referenceBreak(start)
+	j := p.referenceBreak(end)
 	for k := i; k < j; k++ {
 		p.free[k] -= procs
 	}
@@ -46,8 +63,8 @@ func (p *Profile) referenceUnreserve(start, end model.Time, procs int) error {
 	if err := p.unreserveChecks(start, end, procs); err != nil {
 		return err
 	}
-	i := p.ensureBreak(start)
-	j := p.ensureBreak(end)
+	i := p.referenceBreak(start)
+	j := p.referenceBreak(end)
 	for k := i; k < j; k++ {
 		p.free[k] += procs
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -165,7 +164,7 @@ type batchJob struct {
 // malformed job fails the whole batch with 400 before any scheduling
 // work happens.
 func (s *Server) parseBatchJob(req api.ScheduleRequest) (batchJob, error) {
-	g, err := dagio.Read(bytes.NewReader(req.DAG))
+	g, err := dagio.Parse(req.DAG)
 	if err != nil {
 		return batchJob{}, err
 	}
@@ -314,7 +313,7 @@ func (s *Server) handleDeadline(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	g, err := dagio.Read(bytes.NewReader(req.DAG))
+	g, err := dagio.Parse(req.DAG)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, api.Error{Error: err.Error()})
 		return

@@ -25,13 +25,21 @@ type ExtensionsResult struct {
 // BD_CPAR (full knowledge), the one-step scheduler, and the blind
 // scheduler, and reports mean turnaround and CPU-hours for each.
 func RunExtensions(lab *Lab, scenarios []Scenario) (*ExtensionsResult, error) {
-	res := &ExtensionsResult{}
-	err := lab.forEachScenario(scenarios, func(_ int, sc Scenario) error {
+	// Each scenario fills its own row of per-instance results; the rows
+	// are summed in scenario order after the join, so the means do not
+	// depend on the worker count.
+	type row struct {
+		turn, cpu [3]float64
+		probes    float64
+	}
+	rows := make([][]row, len(scenarios))
+	err := lab.forEachScenario(scenarios, func(i int, sc Scenario) error {
 		insts, err := lab.Instances(sc)
 		if err != nil {
 			return err
 		}
-		for _, inst := range insts {
+		rows[i] = make([]row, len(insts))
+		for k, inst := range insts {
 			base, err := inst.Sched.Turnaround(inst.Env, core.BLCPAR, core.BDCPAR)
 			if err != nil {
 				return err
@@ -54,19 +62,29 @@ func RunExtensions(lab *Lab, scenarios []Scenario) (*ExtensionsResult, error) {
 					return fmt.Errorf("%s schedule invalid: %w", name, err)
 				}
 			}
-			res.TurnBDCPAR += float64(base.Turnaround())
-			res.TurnOneStep += float64(one.Schedule.Turnaround())
-			res.TurnBlind += float64(blind.Schedule.Turnaround())
-			res.CPUBDCPAR += base.CPUHours()
-			res.CPUOneStep += one.Schedule.CPUHours()
-			res.CPUBlind += blind.Schedule.CPUHours()
-			res.MeanProbes += float64(blind.Probes)
-			res.Instances++
+			rows[i][k] = row{
+				turn:   [3]float64{float64(base.Turnaround()), float64(one.Schedule.Turnaround()), float64(blind.Schedule.Turnaround())},
+				cpu:    [3]float64{base.CPUHours(), one.Schedule.CPUHours(), blind.Schedule.CPUHours()},
+				probes: float64(blind.Probes),
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	res := &ExtensionsResult{}
+	for _, rs := range rows {
+		for _, r := range rs {
+			res.TurnBDCPAR += r.turn[0]
+			res.TurnOneStep += r.turn[1]
+			res.TurnBlind += r.turn[2]
+			res.CPUBDCPAR += r.cpu[0]
+			res.CPUOneStep += r.cpu[1]
+			res.CPUBlind += r.cpu[2]
+			res.MeanProbes += r.probes
+			res.Instances++
+		}
 	}
 	if res.Instances == 0 {
 		return nil, fmt.Errorf("sim: no instances")

@@ -33,27 +33,40 @@ func RunPessimism(lab *Lab, scenarios []Scenario, factors []float64) (*Pessimism
 		RealizedTAT: make([]float64, len(factors)),
 		WastePct:    make([]float64, len(factors)),
 	}
-	err := lab.forEachScenario(scenarios, func(_ int, sc Scenario) error {
+	// One row per scenario, one entry per instance and factor, summed in
+	// scenario order after the join (see RunExtensions).
+	type cell struct{ reserved, realized, waste float64 }
+	rows := make([][][]cell, len(scenarios))
+	err := lab.forEachScenario(scenarios, func(i int, sc Scenario) error {
 		insts, err := lab.Instances(sc)
 		if err != nil {
 			return err
 		}
-		for _, inst := range insts {
+		rows[i] = make([][]cell, len(insts))
+		for k, inst := range insts {
+			rows[i][k] = make([]cell, len(factors))
 			for fi, f := range factors {
 				r, err := pessimism.Evaluate(inst.Sched.Graph(), inst.Env, f)
 				if err != nil {
 					return err
 				}
-				res.ReservedTAT[fi] += float64(r.ReservedTurnaround)
-				res.RealizedTAT[fi] += float64(r.RealizedTurnaround)
-				res.WastePct[fi] += 100 * r.WasteFraction()
+				rows[i][k][fi] = cell{float64(r.ReservedTurnaround), float64(r.RealizedTurnaround), 100 * r.WasteFraction()}
 			}
-			res.Instances++
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, rs := range rows {
+		for _, cells := range rs {
+			for fi, c := range cells {
+				res.ReservedTAT[fi] += c.reserved
+				res.RealizedTAT[fi] += c.realized
+				res.WastePct[fi] += c.waste
+			}
+			res.Instances++
+		}
 	}
 	if res.Instances == 0 {
 		return nil, fmt.Errorf("sim: no instances")
@@ -87,13 +100,21 @@ func RunDynamic(lab *Lab, scenarios []Scenario, rate float64) (*DynamicSweepResu
 		SlowdownPct:   make([]float64, len(strategies)),
 		MeanConflicts: make([]float64, len(strategies)),
 	}
-	survived := make([]int, len(strategies))
-	err := lab.forEachScenario(scenarios, func(_ int, sc Scenario) error {
+	// One row per scenario, one entry per instance and strategy, summed
+	// in scenario order after the join (see RunExtensions).
+	type cell struct {
+		survived            bool
+		slowdown, conflicts float64
+	}
+	rows := make([][][]cell, len(scenarios))
+	err := lab.forEachScenario(scenarios, func(i int, sc Scenario) error {
 		insts, err := lab.Instances(sc)
 		if err != nil {
 			return err
 		}
+		rows[i] = make([][]cell, len(insts))
 		for ii, inst := range insts {
+			rows[i][ii] = make([]cell, len(strategies))
 			comp := dynamic.DefaultCompetitor(inst.Env.P)
 			comp.Rate = rate
 			for si, strat := range strategies {
@@ -107,16 +128,27 @@ func RunDynamic(lab *Lab, scenarios []Scenario, rate float64) (*DynamicSweepResu
 				if err != nil {
 					return err
 				}
-				survived[si]++
-				res.SlowdownPct[si] += 100 * (float64(r.Schedule.Turnaround())/float64(r.PlannedTurnaround) - 1)
-				res.MeanConflicts[si] += float64(r.Conflicts)
+				rows[i][ii][si] = cell{true, 100 * (float64(r.Schedule.Turnaround())/float64(r.PlannedTurnaround) - 1), float64(r.Conflicts)}
 			}
-			res.Instances++
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	survived := make([]int, len(strategies))
+	for _, rs := range rows {
+		for _, cells := range rs {
+			for si, c := range cells {
+				if !c.survived {
+					continue
+				}
+				survived[si]++
+				res.SlowdownPct[si] += c.slowdown
+				res.MeanConflicts[si] += c.conflicts
+			}
+			res.Instances++
+		}
 	}
 	if res.Instances == 0 {
 		return nil, fmt.Errorf("sim: no instances")
